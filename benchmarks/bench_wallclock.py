@@ -25,11 +25,10 @@ Times the full Table 2 sweep four ways and writes the committed
 gate that the warm fabric is not slower than the single-process
 compiled engine.
 
-Each configuration is then repeated with ``REPRO_SHADOW=numpy`` (cells
-keyed ``<name>+numpy-shadow``), producing the full 4-configuration x
-2-shadow-backend matrix.  The geomean identity check spans *all* cells:
-neither the engine nor the shadow plane is allowed to change a single
-Table 2 number.
+Each cell is a :class:`~repro.config.RunConfig` handed to
+``run_overhead_study`` (and inside every fabric unit); the script sets
+no environment variable.  The geomean identity check spans *all*
+cells: no configuration is allowed to change a single Table 2 number.
 
 Each run is also appended to ``benchmarks/results/bench_history.jsonl``
 with a timestamp and git revision, giving a cross-PR wall-clock
@@ -66,13 +65,12 @@ def _repeat_count() -> int:
     return max(int(os.environ.get("REPRO_BENCH_REPEAT", "2")), 1)
 
 
-def _sweep(jobs: int, scale) -> dict:
-    """Best-of-N timed Table 2 sweeps; fastpath/memoize/engine come from
-    the REPRO_* environment variables the caller pinned (workers inherit
-    them through the fabric key).  Single-process repeats start from
-    cold instrumentation caches; fabric workers persist across repeats
-    by design (warm caches across sweeps are the feature under test),
-    so the parallel cell's best-of-N reports the warm-fabric sweep."""
+def _sweep(config, jobs: int, scale) -> dict:
+    """Best-of-N timed Table 2 sweeps under ``config``.  Single-process
+    repeats start from cold instrumentation caches; fabric workers
+    persist across repeats by design (warm caches across sweeps are the
+    feature under test), so the parallel cell's best-of-N reports the
+    warm-fabric sweep."""
     from repro.analysis import PERFORMANCE_TOOLS, run_overhead_study
     from repro.passes.instrument import clear_instrumentation_cache
 
@@ -81,7 +79,8 @@ def _sweep(jobs: int, scale) -> dict:
         clear_instrumentation_cache()
         started = time.perf_counter()
         study = run_overhead_study(
-            tools=list(PERFORMANCE_TOOLS), scale=scale, jobs=jobs
+            tools=list(PERFORMANCE_TOOLS), scale=scale, jobs=jobs,
+            config=config,
         )
         timings.append(time.perf_counter() - started)
     elapsed = min(timings)
@@ -103,9 +102,9 @@ def _sweep(jobs: int, scale) -> dict:
 
 def main(argv=None) -> int:
     import argparse
-    import os
 
     from repro.analysis.parallel import default_jobs
+    from repro.config import RunConfig
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -120,48 +119,25 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     scale = bench_scale()
+    # (config, jobs) per cell; the affinity-aware worker count (cgroup
+    # quotas respected) is floored at two so single-core machines still
+    # exercise the fabric instead of collapsing to the inline runner
     configurations = {
-        "baseline": dict(
-            fastpath=False, memoize=False, engine="tree", jobs=1
-        ),
-        "fastpath": dict(
-            fastpath=True, memoize=True, engine="tree", jobs=1
-        ),
-        "compiled": dict(
-            fastpath=True, memoize=True, engine="compiled", jobs=1
-        ),
-        # affinity-aware worker count (cgroup quotas respected), floored
-        # at two so single-core machines still exercise the fabric
-        # instead of collapsing to the inline runner
-        "parallel": dict(
-            fastpath=True,
-            memoize=True,
-            engine="compiled",
-            jobs=max(default_jobs(), 2),
+        "baseline": (RunConfig(fastpath=False, memoize=False), 1),
+        "fastpath": (RunConfig(), 1),
+        "compiled": (RunConfig(engine="compiled"), 1),
+        "parallel": (
+            RunConfig(engine="compiled"), max(default_jobs(), 2)
         ),
     }
     results = {}
-    for name, config in configurations.items():
-        for shadow in ("bytearray", "numpy"):
-            cell = name if shadow == "bytearray" else f"{name}+numpy-shadow"
-            os.environ["REPRO_FASTPATH"] = "1" if config["fastpath"] else "0"
-            os.environ["REPRO_INSTRUMENT_CACHE"] = (
-                "1" if config["memoize"] else "0"
-            )
-            os.environ["REPRO_ENGINE"] = config["engine"]
-            os.environ["REPRO_SHADOW"] = shadow
-            results[cell] = _sweep(config["jobs"], scale)
-            results[cell]["engine"] = config["engine"]
-            results[cell]["shadow"] = shadow
-            print(
-                f"{cell:22s} engine={config['engine']:<8s} "
-                f"jobs={config['jobs']:<2d} "
-                f"{results[cell]['seconds']:8.2f}s"
-            )
-    os.environ.pop("REPRO_FASTPATH", None)
-    os.environ.pop("REPRO_INSTRUMENT_CACHE", None)
-    os.environ.pop("REPRO_ENGINE", None)
-    os.environ.pop("REPRO_SHADOW", None)
+    for name, (config, jobs) in configurations.items():
+        results[name] = _sweep(config, jobs, scale)
+        results[name]["engine"] = config.engine
+        print(
+            f"{name:10s} engine={config.engine:<8s} jobs={jobs:<2d} "
+            f"{results[name]['seconds']:8.2f}s"
+        )
 
     # The geomeans are the correctness check: every configuration must
     # reproduce the same Table 2 numbers.
@@ -187,18 +163,6 @@ def main(argv=None) -> int:
         # the fabric headline: warm persistent workers vs the best
         # single-process configuration (>= 1.0 means the fabric wins)
         "speedup_parallel_vs_compiled": round(compiled_s / parallel_s, 2),
-        # numpy-shadow cell vs its bytearray twin, per configuration.
-        # Full sweeps are dominated by small-region checks (which stay
-        # on the scalar path by design), so these hover near 1.0; the
-        # scan-bound win lives in the shadow-traffic micro-benchmark.
-        "numpy_shadow_speedups": {
-            name: round(
-                results[name]["seconds"]
-                / results[f"{name}+numpy-shadow"]["seconds"],
-                2,
-            )
-            for name in configurations
-        },
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     _append_history(payload)

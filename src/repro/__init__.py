@@ -21,6 +21,7 @@ Quickstart::
     print(result.errors.reports)
 """
 
+from .config import RunConfig
 from .errors import (
     AccessType,
     ErrorKind,
@@ -69,6 +70,7 @@ __all__ = [
     "NativeSanitizer",
     "Program",
     "ProgramBuilder",
+    "RunConfig",
     "RunResult",
     "SANITIZER_FACTORIES",
     "SanitizerError",

@@ -10,9 +10,9 @@ invocation shares:
 * **Persistent workers.**  Workers survive across ``map`` calls, so the
   instrumentation memo cache (:mod:`repro.passes.instrument`) and the
   compiled closures memoized on the cached programs stay warm from one
-  table to the next.  Only a worker-count or ``REPRO_*`` environment
-  change retires a fabric — and that retirement *drains* (finish
-  in-flight units, then exit) rather than terminating mid-unit.
+  table to the next.  Units carry their own run config, so only a
+  worker-count change retires a fabric — and that retirement *drains*
+  (finish in-flight units, then exit) rather than terminating mid-unit.
 
 * **Sharded dispatch with work stealing.**  Every work unit carries a
   shard key (typically the program name); a deterministic CRC of the key
@@ -400,9 +400,9 @@ class ExecutionFabric:
     def drain(self, timeout: float = 30.0) -> DrainReport:
         """Graceful shutdown: let every worker finish and exit cleanly.
 
-        This is the *invalidation* path (worker count or ``REPRO_*``
-        environment changed): no in-flight unit is killed unless its
-        worker ignores ``stop`` past ``timeout``.  The returned
+        This is the *invalidation* path (worker count changed): no
+        in-flight unit is killed unless its worker ignores ``stop`` past
+        ``timeout``.  The returned
         :class:`DrainReport` accounts for everything a non-clean drain
         left behind — stuck workers, the in-flight units they dropped,
         results no map will ever claim, and never-dispatched units —

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..config import RunConfig
 from ..runtime import DEFAULT_COST_MODEL, CostModel, RunResult, Session
 from ..workloads.spec import SPEC_TABLE2_ROWS, SpecProgram
 
@@ -54,20 +55,27 @@ def measure_program(
     tools: List[str],
     scale: Optional[int] = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
+    config: Optional[RunConfig] = None,
 ) -> ProgramOverheads:
     """Run one SPEC proxy under Native plus ``tools``; returns ratios.
 
     The Native run supplies the baseline cycle count; every tool's ratio
     is its *total* simulated cycles over the Native total, mirroring the
-    paper's wall-clock ratio column.
+    paper's wall-clock ratio column.  ``config`` None is the process
+    default (:meth:`RunConfig.from_env`).
     """
+    config = RunConfig.from_env() if config is None else config
     program = spec.build()
     args = [scale if scale is not None else spec.default_scale]
-    native = Session("Native", cost_model=cost_model).run(program, args)
+    native = Session("Native", config, cost_model=cost_model).run(
+        program, args
+    )
     baseline = native.total_cycles(cost_model)
     row = ProgramOverheads(program=spec.name, native_cycles=baseline)
     for tool in tools:
-        result = Session(tool, cost_model=cost_model).run(program, args)
+        result = Session(tool, config, cost_model=cost_model).run(
+            program, args
+        )
         row.ratios[tool] = result.total_cycles(cost_model) / baseline
         row.results[tool] = result
     return row
@@ -79,16 +87,19 @@ def run_overhead_study(
     scale: Optional[int] = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
     jobs: int = 1,
+    config: Optional[RunConfig] = None,
 ) -> OverheadStudy:
     """The full Table 2 sweep (24 programs by default).
 
     ``jobs > 1`` fans the per-program rows out across worker processes
     (row order and values are identical to the sequential run); custom
     ``programs`` outside the canonical registry always run inline.
+    ``config`` (None = the process default) travels in every unit.
     """
     from ..workloads.spec import SPEC_BY_NAME
     from .parallel import overhead_worker, parallel_map
 
+    config = RunConfig.from_env() if config is None else config
     tools = tools or PERFORMANCE_TOOLS
     programs = programs or SPEC_TABLE2_ROWS
     if jobs > 1 and all(
@@ -96,7 +107,10 @@ def run_overhead_study(
     ):
         rows = parallel_map(
             overhead_worker,
-            [(spec.name, tools, scale, cost_model) for spec in programs],
+            [
+                (spec.name, tools, scale, cost_model, config)
+                for spec in programs
+            ],
             jobs,
             # shard by program: consecutive tables touching the same
             # proxy land on the same warm fabric worker
@@ -104,7 +118,10 @@ def run_overhead_study(
         )
     else:
         rows = [
-            measure_program(spec, tools, scale=scale, cost_model=cost_model)
+            measure_program(
+                spec, tools, scale=scale, cost_model=cost_model,
+                config=config,
+            )
             for spec in programs
         ]
     return OverheadStudy(rows=rows, tools=tools)

@@ -21,10 +21,12 @@ fall back to inline execution since workers cannot rebuild them.
 
 The fabric persists across ``parallel_map`` calls — consecutive tables
 of one sweep invocation reuse warm workers (and their instrumentation
-memo / compiled-closure caches).  It is retired only when the worker
-count or the ``REPRO_*`` environment changes, and that retirement is a
-graceful *drain* (workers finish in-flight units and exit cleanly); the
-hard ``terminate`` path is reserved for process exit.
+memo / compiled-closure caches).  Every unit carries the
+:class:`~repro.config.RunConfig` its study resolved in the parent, so
+workers never consult their own environment and one warm fabric serves
+any config.  It is retired only when the worker count changes, and that
+retirement is a graceful *drain* (workers finish in-flight units and
+exit cleanly); the hard ``terminate`` path is reserved for process exit.
 """
 
 from __future__ import annotations
@@ -32,20 +34,18 @@ from __future__ import annotations
 import atexit
 import os
 import threading
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 from .fabric import DrainReport, ExecutionFabric
 
 T = TypeVar("T")
 U = TypeVar("U")
 
-#: The shared fabric and the (worker count, REPRO_* environment) key it
-#: was created under.  One ``repro`` sweep invocation runs many tables
+#: The shared fabric.  One ``repro`` sweep invocation runs many tables
 #: back to back; recreating workers per table paid fork + cold caches
 #: every time, which is what made ``--jobs 2`` lose to ``--jobs 1`` in
 #: earlier BENCH_interpreter.json snapshots.
 _FABRIC: Optional[ExecutionFabric] = None
-_FABRIC_KEY: Optional[Tuple] = None
 
 #: Serializes every touch of the shared fabric.  A fabric ``map`` is a
 #: stateful conversation (scheduler, in-flight table, event queue);
@@ -70,25 +70,8 @@ def default_jobs() -> int:
         return max(os.cpu_count() or 1, 1)
 
 
-def _pool_key(processes: int) -> Tuple:
-    """Fabric identity: worker count plus the REPRO_* environment.
-
-    Fork workers inherit the parent's environment at creation time, so a
-    fabric created under one configuration (engine, fastpath, shadow, …)
-    must not serve a sweep running under another.
-    """
-    toggles = tuple(
-        sorted(
-            (key, value)
-            for key, value in os.environ.items()
-            if key.startswith("REPRO_")
-        )
-    )
-    return (processes, toggles)
-
-
 def drain_pool(timeout: float = 30.0) -> Optional[DrainReport]:
-    """Gracefully retire the shared fabric (key-change invalidation).
+    """Gracefully retire the shared fabric (worker-count change).
 
     Workers finish any in-flight unit, then exit cleanly — nothing is
     killed unless a worker wedges past ``timeout``.  Returns the
@@ -96,24 +79,22 @@ def drain_pool(timeout: float = 30.0) -> Optional[DrainReport]:
     fabric was live) so callers can see — and re-queue — anything a
     non-clean drain dropped.
     """
-    global _FABRIC, _FABRIC_KEY
+    global _FABRIC
     with _FABRIC_LOCK:
         report = None
         if _FABRIC is not None:
             report = _FABRIC.drain(timeout=timeout)
         _FABRIC = None
-        _FABRIC_KEY = None
         return report
 
 
 def shutdown_pool() -> None:
     """Hard-stop the shared fabric (atexit hook and test isolation)."""
-    global _FABRIC, _FABRIC_KEY
+    global _FABRIC
     with _FABRIC_LOCK:
         if _FABRIC is not None:
             _FABRIC.terminate()
         _FABRIC = None
-        _FABRIC_KEY = None
 
 
 atexit.register(shutdown_pool)
@@ -121,14 +102,16 @@ atexit.register(shutdown_pool)
 
 def _shared_fabric(processes: int) -> ExecutionFabric:
     """The persistent fabric for ``processes`` workers, recreated only
-    when the worker count or the REPRO_* environment changed."""
-    global _FABRIC, _FABRIC_KEY
-    key = _pool_key(processes)
-    if _FABRIC is not None and _FABRIC_KEY == key and not _FABRIC._closed:
+    when the worker count changed."""
+    global _FABRIC
+    if (
+        _FABRIC is not None
+        and _FABRIC.workers == processes
+        and not _FABRIC._closed
+    ):
         return _FABRIC
     drain_pool()
     _FABRIC = ExecutionFabric(processes)
-    _FABRIC_KEY = key
     return _FABRIC
 
 
@@ -211,31 +194,36 @@ def steal_spans(total: int, jobs: int) -> List[tuple]:
 
 
 # ----------------------------------------------------------------------
-# module-level workers (must be importable for the fabric)
+# module-level workers (must be importable for the fabric); each payload
+# ends with the RunConfig the parent resolved
 # ----------------------------------------------------------------------
 def overhead_worker(payload):
-    """One Table 2 row: run one SPEC proxy under every tool."""
-    name, tools, scale, cost_model = payload
+    """One Table 2 row: run one SPEC proxy under every tool.
+
+    A 4-tuple payload without the config runs under the worker's
+    process default (:meth:`RunConfig.from_env`)."""
+    name, tools, scale, cost_model, *config = payload
     from ..workloads.spec import SPEC_BY_NAME
     from .overhead import measure_program
 
     return measure_program(
-        SPEC_BY_NAME[name], tools, scale=scale, cost_model=cost_model
+        SPEC_BY_NAME[name], tools, scale=scale, cost_model=cost_model,
+        config=config[0] if config else None,
     )
 
 
 def figure10_worker(payload):
     """One Figure 10 bar: GiantSan check breakdown for one proxy."""
-    name, scale = payload
+    name, scale, config = payload
     from ..workloads.spec import SPEC_BY_NAME
     from .figures import measure_check_breakdown
 
-    return measure_check_breakdown(SPEC_BY_NAME[name], scale)
+    return measure_check_breakdown(SPEC_BY_NAME[name], scale, config)
 
 
 def figure11_worker(payload):
     """One Figure 11 cell: one traversal pattern at one size, all tools."""
-    pattern_index, size, cost_model = payload
+    pattern_index, size, cost_model, config = payload
     from ..runtime import Session
     from ..workloads.traversals import FIGURE11_PATTERNS
     from .figures import FIGURE11_TOOLS, TraversalPoint
@@ -244,7 +232,7 @@ def figure11_worker(payload):
     program = pattern.build(size)
     points = []
     for tool in FIGURE11_TOOLS:
-        result = Session(tool, cost_model=cost_model).run(program)
+        result = Session(tool, config, cost_model=cost_model).run(program)
         points.append(
             TraversalPoint(
                 pattern=pattern.name,
@@ -258,11 +246,11 @@ def figure11_worker(payload):
 
 def profile_worker(payload):
     """One ``repro profile`` row: telemetry run of one SPEC proxy."""
-    name, tool, scale = payload
+    name, tool, scale, config = payload
     from ..workloads.spec import SPEC_BY_NAME
     from .profile import profile_program
 
-    return profile_program(SPEC_BY_NAME[name], tool, scale)
+    return profile_program(SPEC_BY_NAME[name], tool, scale, config)
 
 
 def juliet_worker(payload):
@@ -273,52 +261,33 @@ def juliet_worker(payload):
     from scratch for every slice, which made each unit pay O(total
     suite) generation work for an O(slice) run.
     """
-    lo, hi, tools = payload
-    from ..runtime import Session
+    lo, hi, tools, config = payload
     from ..workloads.juliet import juliet_suite_cached
+    from .detection import detects
 
     cases = juliet_suite_cached()[lo:hi]
     outcomes = []
     for offset, case in enumerate(cases):
-        row = {
-            tool: bool(Session(tool).run(case.program).errors)
-            for tool in tools
-        }
+        row = {tool: detects(tool, case.program, config) for tool in tools}
         outcomes.append((lo + offset, row))
     return outcomes
 
 
 def linux_flaw_worker(payload):
     """One Table 4 row: run one CVE scenario under every tool."""
-    scenario_index, tools = payload
-    from ..runtime import Session
+    scenario_index, tools, config = payload
     from ..workloads.linux_flaw import TABLE4_SCENARIOS
+    from .detection import scenario_row
 
     scenario = TABLE4_SCENARIOS[scenario_index]
-    row = {
-        tool: bool(Session(tool).run(scenario.build()).errors)
-        for tool in tools
-    }
-    return scenario.cve_id, row
+    return scenario.cve_id, scenario_row(scenario, tools, config)
 
 
 def magma_worker(payload):
     """One Table 5 row: one Magma project under every configuration."""
-    (project_index,) = payload
-    from ..runtime import Session
-    from ..workloads.magma import (
-        TABLE5_CONFIGS,
-        TABLE5_PROJECTS,
-        generate_project_cases,
-    )
+    project_index, config = payload
+    from ..workloads.magma import TABLE5_PROJECTS
+    from .detection import project_counts
 
     project = TABLE5_PROJECTS[project_index]
-    cases = generate_project_cases(project)
-    per_config = {}
-    for label, tool, kwargs in TABLE5_CONFIGS:
-        count = 0
-        for case in cases:
-            if Session(tool, **kwargs).run(case.build()).errors:
-                count += 1
-        per_config[label] = count
-    return project.name, per_config, project.total
+    return project.name, project_counts(project, config), project.total

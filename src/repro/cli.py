@@ -18,10 +18,9 @@ Usage (installed as ``python -m repro``)::
 Experiment sweeps accept ``--jobs N`` to fan cells out across worker
 processes; results are identical to ``--jobs 1``.  They also accept
 ``--engine {tree,compiled}`` to pick the execution engine (identical
-observables, the compiled engine is just faster); the default honours
-``REPRO_ENGINE``.  Likewise ``--shadow {bytearray,numpy}`` picks the
-shadow-plane backend (identical observables, the numpy plane vectorizes
-bulk scans and poisoning); the default honours ``REPRO_SHADOW``.
+observables).  The run settings are resolved once, as a
+:class:`~repro.config.RunConfig` from the ``REPRO_*`` variables plus
+``--engine``, and handed to the runners as ``args.config``.
 """
 
 from __future__ import annotations
@@ -52,7 +51,9 @@ def _cmd_table2(args) -> str:
     tools = list(PERFORMANCE_TOOLS)
     if args.ablation:
         tools += ABLATION_TOOLS
-    study = run_overhead_study(tools=tools, scale=args.scale, jobs=args.jobs)
+    study = run_overhead_study(
+        tools=tools, scale=args.scale, jobs=args.jobs, config=args.config
+    )
     if args.format == "csv":
         return to_csv(overhead_to_rows(study)).rstrip()
     if args.format == "json":
@@ -63,31 +64,37 @@ def _cmd_table2(args) -> str:
 def _cmd_table3(args) -> str:
     from .analysis import render_table3, run_juliet_study
 
-    return render_table3(run_juliet_study(jobs=args.jobs))
+    return render_table3(run_juliet_study(jobs=args.jobs, config=args.config))
 
 
 def _cmd_table4(args) -> str:
     from .analysis import render_table4, run_linux_flaw_study
 
-    return render_table4(run_linux_flaw_study(jobs=args.jobs))
+    return render_table4(
+        run_linux_flaw_study(jobs=args.jobs, config=args.config)
+    )
 
 
 def _cmd_table5(args) -> str:
     from .analysis import render_table5, run_magma_study
 
-    return render_table5(run_magma_study(jobs=args.jobs))
+    return render_table5(run_magma_study(jobs=args.jobs, config=args.config))
 
 
 def _cmd_fig10(args) -> str:
     from .analysis import render_figure10, run_figure10_study
 
-    return render_figure10(run_figure10_study(scale=args.scale, jobs=args.jobs))
+    return render_figure10(
+        run_figure10_study(scale=args.scale, jobs=args.jobs, config=args.config)
+    )
 
 
 def _cmd_fig11(args) -> str:
     from .analysis import render_figure11, run_figure11_study
 
-    return render_figure11(run_figure11_study(jobs=args.jobs))
+    return render_figure11(
+        run_figure11_study(jobs=args.jobs, config=args.config)
+    )
 
 
 def _cmd_bench(args) -> str:
@@ -99,7 +106,8 @@ def _cmd_bench(args) -> str:
 
     started = time.perf_counter()
     study = run_overhead_study(
-        tools=list(PERFORMANCE_TOOLS), scale=args.scale, jobs=args.jobs
+        tools=list(PERFORMANCE_TOOLS), scale=args.scale, jobs=args.jobs,
+        config=args.config,
     )
     elapsed = time.perf_counter() - started
     lines = [
@@ -135,7 +143,7 @@ def _cmd_profile(args) -> str:
     try:
         study = run_profile_study(
             tool=args.tool, programs=programs, scale=args.scale,
-            jobs=args.jobs,
+            jobs=args.jobs, config=args.config,
         )
     except ValueError as exc:  # unknown tool
         raise SystemExit(str(exc))
@@ -164,7 +172,9 @@ def _cmd_fuzz(args) -> str:
 
     if args.repro is not None:
         case = generate_case(args.repro, bug_probability=args.bug_probability)
-        report = run_case(case, audit_elisions=args.audit_elisions)
+        report = run_case(
+            case, audit_elisions=args.audit_elisions, config=args.config
+        )
         lines = [case.describe(), ""]
         if report.clean:
             lines.append(
@@ -188,6 +198,7 @@ def _cmd_fuzz(args) -> str:
             args.bug_probability,
             not args.no_shrink,
             args.audit_elisions,
+            args.config,
         )
         for start, stop in spans
     ]
@@ -381,7 +392,7 @@ def _cmd_serve(args) -> str:
     config = config_from_env(
         host=args.host, port=args.port, max_concurrency=args.concurrency
     )
-    app = create_app(config)
+    app = create_app(config, run_config=args.config)
     print(
         f"repro control plane on http://{config.host}:{config.port} "
         f"(jobs: {config.max_concurrency} concurrent, "
@@ -406,7 +417,7 @@ def _cmd_demo(args) -> str:
         with f.loop("i", 0, 26, bounded=False) as i:
             f.store("buf", i * 4, 4, i)
         f.free("buf")
-    session = Session(args.tool)
+    session = Session(args.tool, args.config)
     session.run(builder.build())
     return format_all_reports(session.sanitizer)
 
@@ -490,15 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
                 choices=["tree", "compiled"],
                 default=None,
                 help="execution engine (default: REPRO_ENGINE or tree); "
-                "observables are identical, compiled is faster",
-            )
-            sub.add_argument(
-                "--shadow",
-                choices=["bytearray", "numpy"],
-                default=None,
-                help="shadow-plane backend (default: REPRO_SHADOW or "
-                "bytearray); observables are identical, numpy vectorizes "
-                "bulk shadow scans and poisoning",
+                "observables are identical",
             )
         if name == "table2":
             sub.add_argument(
@@ -638,15 +641,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("\n".join(lines))
         return 0
     handler, _ = _COMMANDS[args.command]
-    if getattr(args, "engine", None) or getattr(args, "shadow", None):
-        # exported via the environment (not threaded through every
-        # runner) so Sessions in pool workers pick it up too
-        import os
+    from .config import RunConfig
 
-        if getattr(args, "engine", None):
-            os.environ["REPRO_ENGINE"] = args.engine
-        if getattr(args, "shadow", None):
-            os.environ["REPRO_SHADOW"] = args.shadow
+    try:
+        args.config = RunConfig.from_env()
+    except ValueError as exc:
+        parser.error(str(exc))
+    if getattr(args, "engine", None):
+        args.config = args.config.replace(engine=args.engine)
     if args.command in _PARALLEL_COMMANDS:
         # SIGTERM as SystemExit so the finally block (and atexit) run:
         # fabric workers get retired and their shared-memory scratch

@@ -42,10 +42,10 @@ as before.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..config import RunConfig
 from ..ir.nodes import (
     Call,
     CheckAccess,
@@ -71,11 +71,7 @@ from .solver import solve
 
 def interprocedural_default() -> bool:
     """Process default for summary-based analysis (``REPRO_INTERPROC``)."""
-    return os.environ.get("REPRO_INTERPROC", "1").lower() not in (
-        "0",
-        "false",
-        "off",
-    )
+    return RunConfig.from_env().interprocedural
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,10 @@ execution — an ``elision`` divergence.  The audited run must also match
 the normal run's observables (replay rollback is required to be
 invisible), modulo the marker instructions themselves.
 
+Every run uses the caller's :class:`~repro.config.RunConfig` (None =
+the process default) with the fast path, memoization and summaries
+switched as each comparison needs.
+
 Anything that trips becomes a :class:`Divergence`; the CLI shrinks those
 cases to minimal reproducers (see :mod:`repro.fuzz.shrinker`).
 """
@@ -37,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..config import RunConfig
 from ..runtime.session import Session
 from .expectations import ALL_TOOLS, expected_verdict, verdict_matches
 from .generator import FuzzCase, build_case, case_seed_for, generate_case
@@ -90,13 +95,10 @@ def observables(result) -> dict:
 
 
 def _run_one(
-    program, tool: str, fastpath: bool, check_invariants: bool
+    program, tool: str, config: RunConfig, check_invariants: bool
 ) -> Tuple[object, Optional[ShadowInvariantChecker]]:
     session = Session(
-        tool,
-        fastpath=fastpath,
-        memoize=False,
-        max_instructions=CASE_MAX_INSTRUCTIONS,
+        tool, config, max_instructions=CASE_MAX_INSTRUCTIONS
     )
     checker = (
         ShadowInvariantChecker.attach(session.sanitizer)
@@ -107,13 +109,13 @@ def _run_one(
 
 
 def _audit_elisions(
-    program, tool: str, case: FuzzCase, baseline_obs: dict
+    program, tool: str, case: FuzzCase, baseline_obs: dict,
+    config: RunConfig,
 ) -> List[Divergence]:
     """Replay every elision decision against the shadow oracle."""
     session = Session(
         tool,
-        fastpath=False,
-        memoize=False,
+        config,
         max_instructions=CASE_MAX_INSTRUCTIONS,
         audit_elisions=True,
     )
@@ -144,7 +146,7 @@ def _audit_elisions(
 
 
 def _interproc_differential(
-    program, tool: str, case: FuzzCase, baseline
+    program, tool: str, case: FuzzCase, baseline, config: RunConfig
 ) -> List[Divergence]:
     """Summaries-on vs summaries-off semantic equivalence.
 
@@ -158,10 +160,8 @@ def _interproc_differential(
     """
     session = Session(
         tool,
-        fastpath=False,
-        memoize=False,
+        config.replace(interprocedural=False),
         max_instructions=CASE_MAX_INSTRUCTIONS,
-        interprocedural=False,
     )
     plain = session.run(program)
     divergences: List[Divergence] = []
@@ -203,23 +203,35 @@ def run_case(
     tools: Sequence[str] = ALL_TOOLS,
     check_invariants: bool = True,
     audit_elisions: bool = False,
+    config: Optional[RunConfig] = None,
 ) -> CaseReport:
     """Run ``case`` through the full differential matrix."""
+    config = RunConfig.from_env() if config is None else config
+    off_config = config.replace(fastpath=False, memoize=False)
+    on_config = off_config.replace(fastpath=True)
     divergences: List[Divergence] = []
     invariant_checks = 0
     program = build_case(case)
     returns: Dict[str, int] = {}
     for tool in tools:
         try:
-            off, checker_off = _run_one(program, tool, False, check_invariants)
-            on, checker_on = _run_one(program, tool, True, check_invariants)
+            off, checker_off = _run_one(
+                program, tool, off_config, check_invariants
+            )
+            on, checker_on = _run_one(
+                program, tool, on_config, check_invariants
+            )
             if audit_elisions:
                 divergences.extend(
-                    _audit_elisions(program, tool, case, observables(off))
+                    _audit_elisions(
+                        program, tool, case, observables(off), off_config
+                    )
                 )
             if tool in INTERPROC_TOOLS:
                 divergences.extend(
-                    _interproc_differential(program, tool, case, off)
+                    _interproc_differential(
+                        program, tool, case, off, off_config
+                    )
                 )
         except Exception as exc:  # noqa: BLE001 - any crash is a finding
             divergences.append(
@@ -316,10 +328,12 @@ def fuzz_span(
     shrink: bool = True,
     tools: Sequence[str] = ALL_TOOLS,
     audit_elisions: bool = False,
+    config: Optional[RunConfig] = None,
 ) -> FuzzSummary:
     """Fuzz case indices ``[start, stop)`` for the base ``seed``."""
     from .shrinker import shrink_case  # local: avoids an import cycle
 
+    config = RunConfig.from_env() if config is None else config
     summary = FuzzSummary()
     for index in range(start, stop):
         case = generate_case(
@@ -328,11 +342,15 @@ def fuzz_span(
         summary.cases += 1
         if case.bug is not None:
             summary.buggy_cases += 1
-        report = run_case(case, tools=tools, audit_elisions=audit_elisions)
+        report = run_case(
+            case, tools=tools, audit_elisions=audit_elisions, config=config
+        )
         summary.invariant_checks += report.invariant_checks
         if report.clean:
             continue
-        reduced = shrink_case(case, tools=tools) if shrink else case
+        reduced = (
+            shrink_case(case, tools=tools, config=config) if shrink else case
+        )
         for divergence in report.divergences:
             summary.findings.append(
                 {
@@ -347,8 +365,13 @@ def fuzz_span(
 
 
 def fuzz_worker(payload) -> FuzzSummary:
-    """Module-level worker for :func:`repro.analysis.parallel.parallel_map`."""
-    seed, start, stop, bug_probability, shrink, audit_elisions = payload
+    """Module-level worker for :func:`repro.analysis.parallel.parallel_map`.
+
+    ``payload`` is ``(seed, start, stop, bug_probability, shrink,
+    audit_elisions, config)``."""
+    seed, start, stop, bug_probability, shrink, audit_elisions, config = (
+        payload
+    )
     return fuzz_span(
         seed,
         start,
@@ -356,4 +379,5 @@ def fuzz_worker(payload) -> FuzzSummary:
         bug_probability=bug_probability,
         shrink=shrink,
         audit_elisions=audit_elisions,
+        config=config,
     )

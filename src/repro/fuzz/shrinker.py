@@ -47,8 +47,10 @@ def shrink_case(
     case: FuzzCase,
     tools: Sequence[str] = ALL_TOOLS,
     max_runs: int = 120,
+    config=None,
 ) -> FuzzCase:
-    """Smallest case found that still shows the original signature."""
+    """Smallest case found that still shows the original signature
+    (``config``: the :class:`~repro.config.RunConfig` of the runs)."""
     from .driver import divergence_signature, run_case
 
     runs = 0
@@ -56,7 +58,9 @@ def shrink_case(
     def signature(candidate: FuzzCase) -> frozenset:
         nonlocal runs
         runs += 1
-        return divergence_signature(run_case(candidate, tools=tools))
+        return divergence_signature(
+            run_case(candidate, tools=tools, config=config)
+        )
 
     target = signature(case)
     if not target:

@@ -34,16 +34,17 @@ flush the local counters, hand :func:`repro.runtime.fastpath.try_execute`
 a dict view of the live slots, and sync the slots back on success, so
 ``fastpath`` × ``engine`` compose.
 
-Select the engine per session with ``Session(engine="compiled")`` or
-process-wide with ``REPRO_ENGINE=compiled``; the tree-walker remains the
-default and the reference.
+Select the engine per session with
+``Session(tool, RunConfig(engine="compiled"))`` or process-wide with
+``REPRO_ENGINE=compiled``; the tree-walker remains the default and the
+reference.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, List, Optional
 
+from ..config import RunConfig
 from ..ir.nodes import (
     Assign,
     BinOp,
@@ -92,8 +93,7 @@ _TABLE_ATTR = "_closure_tables"
 
 def engine_default() -> str:
     """Process-wide default execution engine (``REPRO_ENGINE``)."""
-    value = os.environ.get("REPRO_ENGINE", "tree").strip().lower()
-    return value or "tree"
+    return RunConfig.from_env().engine
 
 
 class _Uncompilable(Exception):

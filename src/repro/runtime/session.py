@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-import os
-
+from ..config import RunConfig
 from ..ir.program import Program
 from ..passes.instrument import (
     InstrumentedProgram,
@@ -19,87 +18,47 @@ from ..passes.instrument import (
 )
 from ..sanitizers import SANITIZER_FACTORIES
 from ..sanitizers.base import Sanitizer
-from ..telemetry import Telemetry, telemetry_enabled_default
+from ..telemetry import Telemetry
 from .compiler import resolve_engine
 from .cost_model import CostModel, DEFAULT_COST_MODEL
 from .interpreter import Interpreter, RunResult
 
 
-def _memoize_default() -> bool:
-    return os.environ.get("REPRO_INSTRUMENT_CACHE", "1").lower() not in (
-        "0",
-        "false",
-        "off",
-    )
-
-
-def _invariants_default() -> bool:
-    return os.environ.get("REPRO_INVARIANTS", "0").lower() in (
-        "1",
-        "true",
-        "on",
-    )
-
-
 class Session:
     """One tool + one program, ready to execute.
 
-    ``fastpath`` toggles the superblock fast path (None = the
-    ``REPRO_FASTPATH`` process default); ``memoize`` reuses memoized
-    instrumentation across sessions (None = the ``REPRO_INSTRUMENT_CACHE``
-    process default).  Both are result-invariant accelerations.
-    ``invariants`` attaches a raising
-    :class:`~repro.fuzz.invariants.ShadowInvariantChecker` to the
-    sanitizer so every allocator/frame event re-verifies shadow and
-    accounting invariants (None = the ``REPRO_INVARIANTS`` process
-    default, normally off).  ``audit_elisions`` keeps statically elided
-    checks as :class:`~repro.ir.nodes.CheckElided` markers that the
-    interpreter replays against the shadow oracle, surfacing unsound
-    elisions in ``RunResult.elision_audit_failures``.
-    ``interprocedural`` turns the summary-based analysis layer on or
-    off for the static pipeline (None = the ``REPRO_INTERPROC`` process
-    default, normally on): call sites consume function summaries
-    instead of clobbering every dataflow fact, enabling cross-call
-    check elision.
+    ``config`` is the :class:`~repro.config.RunConfig` the run executes
+    under (None = :meth:`RunConfig.from_env`, the process default):
+    engine, superblock fast path, instrumentation memoization, the
+    interprocedural summary layer, telemetry, and the raising
+    :class:`~repro.fuzz.invariants.ShadowInvariantChecker`.  Every
+    setting but ``invariants`` and ``telemetry`` is result-invariant.
 
-    ``telemetry`` attaches a :class:`~repro.telemetry.Telemetry`
-    registry (None = the ``REPRO_TELEMETRY`` process default, normally
-    off; pass an existing registry to share counters across sessions of
-    the *same* sanitizer).  When on, each run's ``RunResult.telemetry``
-    carries a counter snapshot; when off, nothing is attached and the
-    run is byte-identical to a pre-telemetry session.
+    ``telemetry`` may instead pass an existing
+    :class:`~repro.telemetry.Telemetry` registry to share counters
+    across sessions of the *same* sanitizer.  When telemetry is on,
+    each run's ``RunResult.telemetry`` carries a counter snapshot; when
+    off, nothing is attached and the run is byte-identical to a
+    pre-telemetry session.
 
-    ``engine`` selects the execution engine: ``"tree"`` (the reference
-    tree-walking interpreter) or ``"compiled"`` (the compile-to-closures
-    engine in :mod:`repro.runtime.compiler`, observation-equivalent and
-    differentially tested).  None resolves the ``REPRO_ENGINE`` process
-    default, which is ``tree``.
-
-    ``shadow`` selects the shadow-plane backend the sanitizer is built
-    on: ``"bytearray"`` (the reference plane) or ``"numpy"`` (the
-    vectorized plane in :mod:`repro.shadow.numpy_shadow`, byte-identical
-    and differentially tested).  None resolves the ``REPRO_SHADOW``
-    process default, which is ``bytearray``.  Only valid with a tool
-    *name* — a pre-built Sanitizer already owns its shadow plane.
+    ``audit_elisions`` keeps statically elided checks as
+    :class:`~repro.ir.nodes.CheckElided` markers that the interpreter
+    replays against the shadow oracle, surfacing unsound elisions in
+    ``RunResult.elision_audit_failures``.
     """
 
     def __init__(
         self,
         tool: str | Sanitizer,
+        config: Optional[RunConfig] = None,
         cost_model: CostModel = DEFAULT_COST_MODEL,
         max_instructions: int = 50_000_000,
-        fastpath: bool | None = None,
-        memoize: bool | None = None,
-        invariants: bool | None = None,
         audit_elisions: bool = False,
-        telemetry: bool | Telemetry | None = None,
-        engine: str | None = None,
-        shadow: str | None = None,
-        interprocedural: bool | None = None,
+        telemetry: Optional[Telemetry] = None,
         **sanitizer_kwargs,
     ):
         if isinstance(tool, Sanitizer):
-            if sanitizer_kwargs or shadow is not None:
+            if sanitizer_kwargs:
                 raise ValueError(
                     "pass sanitizer kwargs only with a tool *name*"
                 )
@@ -112,29 +71,23 @@ class Session:
                 raise ValueError(
                     f"unknown tool {tool!r}; known tools: {known}"
                 ) from None
-            sanitizer_kwargs.setdefault("shadow_backend", shadow)
             self.sanitizer = factory(**sanitizer_kwargs)
+        config = RunConfig.from_env() if config is None else config
+        self.config = config
         self.cost_model = cost_model
         self.max_instructions = max_instructions
-        self.fastpath = fastpath
-        self.engine = resolve_engine(engine)
-        self.memoize = _memoize_default() if memoize is None else memoize
+        self.engine = resolve_engine(config.engine)
+        self.fastpath = config.fastpath
+        self.memoize = config.memoize
+        self.interprocedural = config.interprocedural
         self.audit_elisions = audit_elisions
-        self.interprocedural = interprocedural
-        if telemetry is None:
-            telemetry = telemetry_enabled_default()
-        self.telemetry = None
-        if telemetry:
-            self.telemetry = (
-                telemetry
-                if isinstance(telemetry, Telemetry)
-                else Telemetry()
-            )
-            self.telemetry.attach(self.sanitizer)
-        if invariants is None:
-            invariants = _invariants_default()
+        if telemetry is None and config.telemetry:
+            telemetry = Telemetry()
+        self.telemetry = telemetry
+        if telemetry is not None:
+            telemetry.attach(self.sanitizer)
         self.invariant_checker = None
-        if invariants:
+        if config.invariants:
             # local import: repro.fuzz itself drives Sessions
             from ..fuzz.invariants import ShadowInvariantChecker
 

@@ -26,7 +26,7 @@ async def stats(request):
     return {
         "jobs": state.manager.counts(),
         "config": state.config.model_dump(),
-        "defaults": state.defaults.model_dump(),
+        "defaults": state.run_config.as_dict(),
         "fabric": fabric_stats(),
         "instrumentation_cache": instrumentation_cache_stats(),
         "telemetry_totals": state.telemetry_totals.as_dict(),

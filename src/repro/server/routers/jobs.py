@@ -40,7 +40,7 @@ async def submit_run(request):
     runner = functools.partial(
         execute_run_job,
         request=payload,
-        defaults=state.defaults,
+        run_config=state.run_config,
         aggregate=state.telemetry_totals,
     )
     job = _manager(request).submit(
@@ -55,7 +55,7 @@ async def submit_sweep(request):
     state = request.state
     _cap(payload.jobs, state.config.worker_cap, "jobs")
     runner = functools.partial(
-        execute_sweep_job, request=payload, defaults=state.defaults
+        execute_sweep_job, request=payload, run_config=state.run_config
     )
     job = _manager(request).submit(
         "sweep", payload.model_dump(mode="json"), runner
@@ -72,7 +72,7 @@ async def submit_fuzz(request):
         payload.iterations, state.config.fuzz_iteration_cap, "iterations"
     )
     runner = functools.partial(
-        execute_fuzz_job, request=payload, defaults=state.defaults
+        execute_fuzz_job, request=payload, run_config=state.run_config
     )
     job = _manager(request).submit(
         "fuzz", payload.model_dump(mode="json"), runner

@@ -1,7 +1,8 @@
-"""The run-job service: one IR program, one (tool × engine × shadow ×
-fastpath) cell, executed through a Session built from the validated
-request — not from environment variables — so concurrent jobs cannot
-contaminate each other's configuration.
+"""The run-job service: one IR program, one (tool × engine × fastpath)
+cell, executed through a Session built from the validated request on
+top of the server's captured :class:`~repro.config.RunConfig` — not
+from environment variables — so concurrent jobs cannot contaminate
+each other's configuration.
 
 The result payload carries the full observable surface of the run:
 return value, cycle/instruction counts, CheckStats, the structured
@@ -14,9 +15,9 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
+from ...config import RunConfig
 from ...reporting import format_all_reports
 from ...runtime.session import Session
-from ..config import ExecutionDefaults, resolved
 from ..jobs import JobContext
 from ..models import RunJobRequest
 from ..programs import build_job_program
@@ -24,19 +25,18 @@ from .common import TelemetryAggregate
 
 
 def build_session(
-    config, defaults: ExecutionDefaults, max_instructions: int
+    config, run_config: RunConfig, max_instructions: int
 ) -> Session:
     """A Session for an :class:`ExecutionConfig`, env-independent."""
+    overrides = {
+        field: getattr(config, field)
+        for field in ("engine", "fastpath", "interprocedural")
+        if getattr(config, field) is not None
+    }
     return Session(
         config.tool,
+        run_config.replace(telemetry=config.telemetry, **overrides),
         max_instructions=max_instructions,
-        fastpath=resolved(config.fastpath, defaults.fastpath),
-        engine=resolved(config.engine, defaults.engine),
-        shadow=resolved(config.shadow, defaults.shadow),
-        interprocedural=resolved(
-            config.interprocedural, defaults.interprocedural
-        ),
-        telemetry=config.telemetry,
     )
 
 
@@ -44,6 +44,7 @@ def run_result_payload(session: Session, result) -> Dict[str, Any]:
     """The JSON-ready observable surface of one run."""
     return {
         "tool": result.tool,
+        "config": session.config.as_dict(),
         "return_value": result.return_value,
         "native_cycles": result.native_cycles,
         "total_cycles": result.total_cycles(),
@@ -73,14 +74,14 @@ def run_result_payload(session: Session, result) -> Dict[str, Any]:
 def execute_run_job(
     context: JobContext,
     request: RunJobRequest,
-    defaults: ExecutionDefaults,
+    run_config: RunConfig,
     aggregate: TelemetryAggregate,
 ) -> Dict[str, Any]:
     program, args = build_job_program(request.program)
     context.check_cancelled()
     context.progress("instrumenting and executing", tool=request.config.tool)
     session = build_session(
-        request.config, defaults, request.max_instructions
+        request.config, run_config, request.max_instructions
     )
     result = session.run(program, args)
     if result.telemetry is not None:

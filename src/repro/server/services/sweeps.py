@@ -8,9 +8,11 @@ whole (they are seconds-scale).  Results include the rendered text
 exactly as the CLI prints it, so a sweep job is byte-comparable to
 ``python -m repro <target>``.
 
-Sweep workers resolve ``REPRO_*`` process defaults (and the fabric is
-keyed on them), so the whole body holds the environment lease; see
-:mod:`repro.server.services.common`.
+The sweep runs under the server's captured run config with the
+request's ``engine`` applied; the config travels inside every fabric
+unit, so concurrent sweeps, fuzz campaigns and run jobs never share
+settings through the environment.  Only the fabric lock in
+:mod:`repro.analysis.parallel` orders their fabric maps.
 """
 
 from __future__ import annotations
@@ -18,13 +20,14 @@ from __future__ import annotations
 import time
 from typing import Any, Dict
 
-from ..config import ExecutionDefaults
+from ...config import RunConfig
 from ..jobs import JobContext
 from ..models import SweepJobRequest
-from .common import env_lease
 
 
-def _run_table2(context: JobContext, request: SweepJobRequest) -> Dict[str, Any]:
+def _run_table2(
+    context: JobContext, request: SweepJobRequest, config: RunConfig
+) -> Dict[str, Any]:
     from ...analysis import (
         PERFORMANCE_TOOLS,
         OverheadStudy,
@@ -48,7 +51,8 @@ def _run_table2(context: JobContext, request: SweepJobRequest) -> Dict[str, Any]
             parallel_map(
                 overhead_worker,
                 [
-                    (spec.name, tools, request.scale, DEFAULT_COST_MODEL)
+                    (spec.name, tools, request.scale, DEFAULT_COST_MODEL,
+                     config)
                     for spec in batch
                 ],
                 request.jobs,
@@ -67,47 +71,46 @@ def _run_table2(context: JobContext, request: SweepJobRequest) -> Dict[str, Any]
 
 
 def _run_simple_target(
-    context: JobContext, request: SweepJobRequest
+    context: JobContext, request: SweepJobRequest, config: RunConfig
 ) -> Dict[str, Any]:
     from ... import analysis
 
     context.check_cancelled()
+    jobs = request.jobs
     if request.target == "table3":
-        study = analysis.run_juliet_study(jobs=request.jobs)
+        study = analysis.run_juliet_study(jobs=jobs, config=config)
         return {"rendered": analysis.render_table3(study)}
     if request.target == "table4":
-        study = analysis.run_linux_flaw_study(jobs=request.jobs)
+        study = analysis.run_linux_flaw_study(jobs=jobs, config=config)
         return {"rendered": analysis.render_table4(study)}
     if request.target == "table5":
-        study = analysis.run_magma_study(jobs=request.jobs)
+        study = analysis.run_magma_study(jobs=jobs, config=config)
         return {"rendered": analysis.render_table5(study)}
     if request.target == "fig10":
         study = analysis.run_figure10_study(
-            scale=request.scale, jobs=request.jobs
+            scale=request.scale, jobs=jobs, config=config
         )
         return {"rendered": analysis.render_figure10(study)}
-    study = analysis.run_figure11_study(jobs=request.jobs)
+    study = analysis.run_figure11_study(jobs=jobs, config=config)
     return {"rendered": analysis.render_figure11(study)}
 
 
 def execute_sweep_job(
     context: JobContext,
     request: SweepJobRequest,
-    defaults: ExecutionDefaults,
+    run_config: RunConfig,
 ) -> Dict[str, Any]:
-    started = time.perf_counter()
-    overrides = {
-        "REPRO_ENGINE": request.engine,
-        "REPRO_SHADOW": request.shadow,
-    }
-    with env_lease(context, overrides):
-        if request.target == "table2":
-            payload = _run_table2(context, request)
-        else:
-            payload = _run_simple_target(context, request)
-        from ...analysis.parallel import fabric_stats
+    from ...analysis.parallel import fabric_stats
 
-        stats = fabric_stats()
+    started = time.perf_counter()
+    config = run_config
+    if request.engine is not None:
+        config = config.replace(engine=request.engine)
+    if request.target == "table2":
+        payload = _run_table2(context, request, config)
+    else:
+        payload = _run_simple_target(context, request, config)
+    stats = fabric_stats()
     payload.update(
         {
             "target": request.target,

@@ -8,6 +8,7 @@ compile cache is keyed, and how the engine is selected.
 
 import pytest
 
+from repro.config import RunConfig
 from repro.ir.builder import ProgramBuilder
 from repro.ir.nodes import Const, Var
 from repro.runtime import (
@@ -65,10 +66,14 @@ def test_engine_default_reads_environment(monkeypatch):
 
 
 def test_session_engine_parameter():
-    assert Session("Native", engine="compiled").engine is CompiledEngine
-    assert Session("Native", engine="tree").engine is Interpreter
+    assert Session(
+        "Native", RunConfig.from_env(engine="compiled")
+    ).engine is CompiledEngine
+    assert Session(
+        "Native", RunConfig.from_env(engine="tree")
+    ).engine is Interpreter
     with pytest.raises(ValueError):
-        Session("Native", engine="bytecode")
+        Session("Native", RunConfig.from_env(engine="bytecode"))
 
 
 # ----------------------------------------------------------------------
@@ -99,7 +104,9 @@ def test_may_undefined_read_declines():
         compile_function(function, COSTS, False, False) is None
     )
     # ... but the engine still runs it, via per-function fallback.
-    result = Session("Native", engine="compiled", memoize=False).run(
+    result = Session(
+        "Native", RunConfig.from_env(engine="compiled", memoize=False)
+    ).run(
         program
     )
     assert result.return_value == 42
@@ -139,7 +146,9 @@ def test_budget_exceeded_message_matches_tree():
     messages = {}
     for engine in ("tree", "compiled"):
         session = Session(
-            "Native", engine=engine, memoize=False, max_instructions=100
+            "Native",
+            RunConfig.from_env(engine=engine, memoize=False),
+            max_instructions=100,
         )
         with pytest.raises(BudgetExceeded) as excinfo:
             session.run(program)
@@ -158,7 +167,9 @@ def test_wrong_argc_message_matches_tree():
     program = builder.build()
     messages = {}
     for engine in ("tree", "compiled"):
-        session = Session("Native", engine=engine, memoize=False)
+        session = Session(
+            "Native", RunConfig.from_env(engine=engine, memoize=False)
+        )
         with pytest.raises(TypeError) as excinfo:
             session.run(program)
         messages[engine] = str(excinfo.value)
@@ -183,8 +194,12 @@ def test_compiled_calls_interop_with_tree_fallback():
     program = builder.build()
     table = _compile(program)
     assert "main" in table and "helper" not in table
-    tree = Session("Native", engine="tree", memoize=False).run(program)
-    compiled = Session("Native", engine="compiled", memoize=False).run(
+    tree = Session(
+        "Native", RunConfig.from_env(engine="tree", memoize=False)
+    ).run(program)
+    compiled = Session(
+        "Native", RunConfig.from_env(engine="compiled", memoize=False)
+    ).run(
         program
     )
     assert compiled.return_value == tree.return_value == 5 + sum(range(5))

@@ -7,6 +7,7 @@ static bug detector, and the fuzz-auditable elision pass.
 
 import pytest
 
+from repro.config import RunConfig
 from repro.dataflow import (
     LIVE,
     LOOP_HEADER,
@@ -364,11 +365,15 @@ class TestElisionAudit:
         assert all(isinstance(m.inner, CheckAccess) for m in markers)
 
     def test_audit_replay_is_invisible(self):
-        plain = Session("ASan--", memoize=False, fastpath=False).run(
+        plain = Session(
+            "ASan--", RunConfig.from_env(memoize=False, fastpath=False)
+        ).run(
             _elidable_program()
         )
         audited = Session(
-            "ASan--", memoize=False, fastpath=False, audit_elisions=True
+            "ASan--",
+            RunConfig.from_env(memoize=False, fastpath=False),
+            audit_elisions=True,
         ).run(_elidable_program())
         assert audited.elision_audit_failures == []
         assert audited.stats.as_dict() == plain.stats.as_dict()

@@ -10,6 +10,7 @@ so each gets a pinned, deterministic test here.
 
 import pytest
 
+from repro.config import RunConfig
 from repro.ir.builder import ProgramBuilder
 from repro.runtime import Session
 
@@ -29,8 +30,12 @@ def _observables(result):
 
 def _assert_paths_match(program, expect_errors_from=()):
     for tool in TOOLS:
-        on = Session(tool, fastpath=True, memoize=False).run(program)
-        off = Session(tool, fastpath=False, memoize=False).run(program)
+        on = Session(
+            tool, RunConfig.from_env(fastpath=True, memoize=False)
+        ).run(program)
+        off = Session(
+            tool, RunConfig.from_env(fastpath=False, memoize=False)
+        ).run(program)
         assert _observables(on) == _observables(off), tool
         if tool in expect_errors_from:
             assert off.errors, f"{tool} missed the planted bug"
@@ -75,7 +80,9 @@ def test_reverse_walk_in_bounds():
         f.ret(total)
     program = builder.build()
     _assert_paths_match(program)
-    result = Session("Native", fastpath=False, memoize=False).run(program)
+    result = Session(
+        "Native", RunConfig.from_env(fastpath=False, memoize=False)
+    ).run(program)
     assert result.return_value == sum(range(16))
 
 
@@ -110,7 +117,9 @@ def test_final_access_exactly_at_usable_boundary():
     program = builder.build()
     _assert_paths_match(program)
     for tool in TOOLS:
-        result = Session(tool, fastpath=True, memoize=False).run(program)
+        result = Session(
+            tool, RunConfig.from_env(fastpath=True, memoize=False)
+        ).run(program)
         assert not result.errors, tool
 
 
@@ -127,7 +136,9 @@ def test_final_partial_segment_on_redzone_boundary():
     program = builder.build()
     _assert_paths_match(program)
     for tool in TOOLS:
-        result = Session(tool, fastpath=True, memoize=False).run(program)
+        result = Session(
+            tool, RunConfig.from_env(fastpath=True, memoize=False)
+        ).run(program)
         assert not result.errors, tool
 
 

@@ -9,6 +9,7 @@ semantic change; this suite is the proof.
 
 import pytest
 
+from repro.config import RunConfig
 from repro.runtime import Session
 from repro.runtime.fastpath import analyze_loop
 from repro.ir.builder import ProgramBuilder
@@ -33,7 +34,9 @@ def _observables(result):
 
 
 def _run(spec, tool, fastpath):
-    session = Session(tool, fastpath=fastpath, memoize=False)
+    session = Session(
+        tool, RunConfig.from_env(fastpath=fastpath, memoize=False)
+    )
     return session.run(spec.build(), [SCALE])
 
 
@@ -75,8 +78,12 @@ def test_fastpath_falls_back_on_data_dependent_loop():
                 f.store("buf", i * 4, 4, i)
         f.free("buf")
     program = builder.build()
-    on = Session("GiantSan", fastpath=True, memoize=False).run(program)
-    off = Session("GiantSan", fastpath=False, memoize=False).run(program)
+    on = Session(
+        "GiantSan", RunConfig.from_env(fastpath=True, memoize=False)
+    ).run(program)
+    off = Session(
+        "GiantSan", RunConfig.from_env(fastpath=False, memoize=False)
+    ).run(program)
     assert on.native_cycles == off.native_cycles
     assert on.stats.as_dict() == off.stats.as_dict()
 
@@ -97,8 +104,12 @@ def test_fastpath_preserves_memory_effects():
     program = builder.build()
     expected = sum(i * 1000 + 7 for i in range(32))
     for tool in TOOLS:
-        on = Session(tool, fastpath=True, memoize=False).run(program)
-        off = Session(tool, fastpath=False, memoize=False).run(program)
+        on = Session(
+            tool, RunConfig.from_env(fastpath=True, memoize=False)
+        ).run(program)
+        off = Session(
+            tool, RunConfig.from_env(fastpath=False, memoize=False)
+        ).run(program)
         assert on.return_value == expected
         assert off.return_value == expected
         assert on.stats.as_dict() == off.stats.as_dict()

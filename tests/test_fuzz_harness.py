@@ -9,6 +9,7 @@ keep reductions that preserve the divergence signature.
 
 import pytest
 
+from repro.config import RunConfig
 from repro.fuzz import (
     ALL_TOOLS,
     InvariantViolation,
@@ -81,7 +82,9 @@ class TestGenerator:
         for index in range(25):
             case = generate_case(case_seed_for(5, index))
             program = build_case(case)
-            result = Session("Native", memoize=False).run(program)
+            result = Session(
+                "Native", RunConfig.from_env(memoize=False)
+            ).run(program)
             assert result.return_value is not None
 
     def test_drop_op_removes_buffer_dependents(self):
@@ -286,14 +289,18 @@ class TestInvariantChecker:
             checker.verify("planted")
 
     def test_session_toggle_attaches_checker(self):
-        session = Session("GiantSan", invariants=True, memoize=False)
+        session = Session(
+            "GiantSan", RunConfig.from_env(invariants=True, memoize=False)
+        )
         assert session.invariant_checker is not None
-        session_off = Session("GiantSan", memoize=False)
+        session_off = Session("GiantSan", RunConfig.from_env(memoize=False))
         assert session_off.invariant_checker is None
 
     def test_session_env_toggle(self, monkeypatch):
         monkeypatch.setenv("REPRO_INVARIANTS", "1")
-        session = Session("ASan", memoize=False)
+        session = Session("ASan", RunConfig.from_env(memoize=False))
         assert session.invariant_checker is not None
         monkeypatch.setenv("REPRO_INVARIANTS", "0")
-        assert Session("ASan", memoize=False).invariant_checker is None
+        assert Session(
+            "ASan", RunConfig.from_env(memoize=False)
+        ).invariant_checker is None

@@ -7,11 +7,12 @@ dies through summarized may-free sets), cross-call check elision with
 its audit trail, the degenerate shapes that must fall back to the old
 conservative behaviour, and the call-heavy acceptance workload where
 the dynamic check count must drop with summaries enabled while the
-semantics stay identical across the engine x shadow x fastpath matrix.
+semantics stay identical across the engine x fastpath matrix.
 """
 
 import pytest
 
+from repro.config import RunConfig
 from repro.dataflow import (
     LIVE,
     MAYBE,
@@ -368,8 +369,9 @@ class TestCrossCallElision:
         program = build_callheavy_program()
         for tool in ("GiantSan", "ASan--"):
             session = Session(
-                tool, memoize=False, audit_elisions=True,
-                interprocedural=True,
+                tool,
+                RunConfig.from_env(memoize=False, interprocedural=True),
+                audit_elisions=True,
             )
             result = session.run(program, args=[6])
             assert result.elision_audit_failures == []
@@ -379,8 +381,8 @@ class TestCrossCallElision:
 # ----------------------------------------------------------------------
 # degenerate shapes fall back byte-identically
 # ----------------------------------------------------------------------
-def _observables(tool, program, args=None, **kwargs):
-    session = Session(tool, memoize=False, **kwargs)
+def _observables(tool, program, args=None, **changes):
+    session = Session(tool, RunConfig.from_env(memoize=False, **changes))
     result = session.run(program, args)
     return {
         "return_value": result.return_value,
@@ -499,7 +501,10 @@ class TestCallHeavyAcceptance:
             counts = {}
             semantics = {}
             for ipo in (True, False):
-                session = Session(tool, memoize=False, interprocedural=ipo)
+                session = Session(
+                    tool,
+                    RunConfig.from_env(memoize=False, interprocedural=ipo),
+                )
                 result = session.run(program, args=[10])
                 counts[ipo] = result.stats.checks_executed
                 semantics[ipo] = (
@@ -510,19 +515,15 @@ class TestCallHeavyAcceptance:
             assert semantics[True] == semantics[False], tool
 
     @pytest.mark.parametrize("engine", ["tree", "compiled"])
-    @pytest.mark.parametrize("shadow", ["bytearray", "numpy"])
     @pytest.mark.parametrize("fastpath", [False, True])
-    def test_matrix_identity(self, engine, shadow, fastpath):
-        pytest.importorskip("numpy") if shadow == "numpy" else None
+    def test_matrix_identity(self, engine, fastpath):
         program = build_callheavy_program()
-        baseline = None
         session = Session(
             "GiantSan",
-            memoize=False,
-            engine=engine,
-            shadow=shadow,
-            fastpath=fastpath,
-            interprocedural=True,
+            RunConfig.from_env(
+                memoize=False, engine=engine, fastpath=fastpath,
+                interprocedural=True,
+            ),
         )
         result = session.run(program, args=[5])
         observed = (
@@ -530,7 +531,8 @@ class TestCallHeavyAcceptance:
             [(e.kind, e.address) for e in result.errors],
         )
         reference = Session(
-            "GiantSan", memoize=False, interprocedural=True
+            "GiantSan",
+            RunConfig.from_env(memoize=False, interprocedural=True),
         ).run(program, args=[5])
         baseline = (
             reference.return_value,

@@ -9,9 +9,10 @@ Three families of guarantees:
 (b) **Warm-cache reuse** — consecutive tables on one fabric must hit
     the per-worker instrumentation memo (the whole point of persistent
     workers), observable through the fabric's worker stats.
-(c) **Graceful lifecycle** — a REPRO_* environment change retires the
-    old fabric by *draining* it (workers exit cleanly, exit code 0),
-    never by killing in-flight work.
+(c) **Graceful lifecycle** — a run-config change travels inside the
+    units and keeps the warm workers; only a worker-count change retires
+    the old fabric, by *draining* it (workers exit cleanly, exit code
+    0), never by killing in-flight work.
 """
 
 import os
@@ -26,11 +27,22 @@ from repro.analysis.parallel import (
     default_jobs,
     fabric_stats,
     figure10_worker,
+    overhead_worker,
     parallel_map,
     shutdown_pool,
     steal_spans,
 )
+from repro.config import RunConfig
+from repro.runtime import DEFAULT_COST_MODEL
 from repro.fuzz.driver import FuzzSummary, fuzz_worker
+
+#: The run config every hand-built unit below carries.
+CONFIG = RunConfig.from_env()
+
+
+def _fig10_units(*names):
+    """Figure 10 work units at scale 2."""
+    return [(name, 2, CONFIG) for name in names]
 
 
 @pytest.fixture(autouse=True)
@@ -86,7 +98,7 @@ class TestByteIdenticalResults:
         def sweep(jobs):
             spans = steal_spans(60, jobs)
             payloads = [
-                (11, start, stop, 0.55, False, False)
+                (11, start, stop, 0.55, False, False, CONFIG)
                 for start, stop in spans
             ]
             summary = FuzzSummary()
@@ -141,8 +153,13 @@ class TestWarmCaches:
         from repro.analysis.figures import run_figure10_study
 
         programs = self._distinct_home_programs()
+        # the memo is what is under test, whatever REPRO_INSTRUMENT_CACHE
+        # says for the rest of the suite
+        config = RunConfig.from_env(memoize=True)
         # table 2 over two proxies: cold workers instrument everything
-        run_overhead_study(programs=programs, scale=2, jobs=2)
+        run_overhead_study(
+            programs=programs, scale=2, jobs=2, config=config
+        )
         stats_cold = fabric_stats()
         assert stats_cold is not None
         cold_hits = sum(
@@ -157,7 +174,9 @@ class TestWarmCaches:
         # figure 10 over the same proxies rides the same fabric: the
         # GiantSan instrumentation each worker needs is already in its
         # memo, so hits grow and misses do not
-        run_figure10_study(programs=programs, scale=2, jobs=2)
+        run_figure10_study(
+            programs=programs, scale=2, jobs=2, config=config
+        )
         stats_warm = fabric_stats()
         assert stats_warm["maps_completed"] == 2
         warm_hits = sum(
@@ -190,26 +209,73 @@ class TestWarmCaches:
             assert stats["shared_memory"]
 
 
+def _row_fingerprint(row):
+    """A Table 2 row with every config-dependent observable: stats and
+    (when telemetry is on) the deterministic telemetry counters."""
+    return (
+        row.program,
+        row.native_cycles,
+        row.ratios,
+        {
+            tool: (
+                result.stats.as_dict(),
+                None if result.telemetry is None
+                else result.telemetry.counters,
+            )
+            for tool, result in row.results.items()
+        },
+    )
+
+
 class TestLifecycle:
-    def test_env_change_drains_gracefully(self, monkeypatch):
+    def test_config_change_keeps_warm_workers(self, monkeypatch):
+        names = ["505.mcf_r", "519.lbm_r", "508.namd_r"]
+        tools = ["GiantSan", "ASan"]
+        plain = RunConfig.from_env(telemetry=False)
+        traced = plain.replace(telemetry=True, engine="compiled")
+        rows, pids = {}, {}
+        for label, config in (("plain", plain), ("traced", traced)):
+            payloads = [
+                (name, tools, 2, DEFAULT_COST_MODEL, config)
+                for name in names
+            ]
+            fabric_rows = parallel_map(
+                overhead_worker, payloads, 2, shard_keys=names
+            )
+            pids[label] = [p.pid for p in parallel._FABRIC.processes]
+            # variables outside the run config never retire the fabric
+            monkeypatch.setenv("REPRO_SERVE_PORT", label)
+            inline_rows = parallel_map(overhead_worker, payloads, 1)
+            rows[label] = [_row_fingerprint(r) for r in fabric_rows]
+            assert rows[label] == [
+                _row_fingerprint(r) for r in inline_rows
+            ], label
+        assert pids["plain"] == pids["traced"]  # no re-fork
+        # the config really travelled: telemetry appears only in one map
+        assert rows["plain"] != rows["traced"]
+
+    def test_worker_count_change_drains_gracefully(self):
         parallel_map(
             figure10_worker,
-            [("505.mcf_r", 2), ("519.lbm_r", 2), ("508.namd_r", 2)],
+            _fig10_units("505.mcf_r", "519.lbm_r", "508.namd_r"),
             2,
         )
         old = parallel._FABRIC
         assert old is not None
         old_processes = old.processes
-        monkeypatch.setenv("REPRO_FABRIC_TEST_TOGGLE", "flip")
         parallel_map(
-            figure10_worker, [("505.mcf_r", 2), ("519.lbm_r", 2)], 2
+            figure10_worker,
+            _fig10_units("505.mcf_r", "519.lbm_r", "508.namd_r"),
+            3,
         )
         assert parallel._FABRIC is not old
         # drained, not terminated: every worker exited cleanly
         assert [p.exitcode for p in old_processes] == [0, 0]
 
     def test_shutdown_pool_is_idempotent(self):
-        parallel_map(figure10_worker, [("505.mcf_r", 2), ("519.lbm_r", 2)], 2)
+        parallel_map(
+            figure10_worker, _fig10_units("505.mcf_r", "519.lbm_r"), 2
+        )
         shutdown_pool()
         shutdown_pool()
         assert fabric_stats() is None
@@ -218,7 +284,7 @@ class TestLifecycle:
         with pytest.raises(Exception) as excinfo:
             parallel_map(
                 figure10_worker,
-                [("505.mcf_r", 2), ("no-such-program", 2)],
+                _fig10_units("505.mcf_r", "no-such-program"),
                 2,
             )
         assert "no-such-program" in str(excinfo.value) or "KeyError" in str(
@@ -226,7 +292,7 @@ class TestLifecycle:
         )
         # the fabric survives a unit failure and keeps serving
         results = parallel_map(
-            figure10_worker, [("505.mcf_r", 2), ("519.lbm_r", 2)], 2
+            figure10_worker, _fig10_units("505.mcf_r", "519.lbm_r"), 2
         )
         assert [r.program for r in results] == ["505.mcf_r", "519.lbm_r"]
 
@@ -300,14 +366,14 @@ class TestFabricDirect:
     def test_ordered_results_with_skewed_shards(self):
         fabric = ExecutionFabric(2)
         try:
-            payloads = [("505.mcf_r", 2)] * 1  # warm-up
+            payloads = _fig10_units("505.mcf_r")  # warm-up
             fabric.map(figure10_worker, payloads, shard_keys=["x"])
             names = ["505.mcf_r", "519.lbm_r", "508.namd_r", "557.xz_r"]
             # all units on ONE shard: the other worker must steal, yet
             # results come back in submission order
             results = fabric.map(
                 figure10_worker,
-                [(name, 2) for name in names],
+                _fig10_units(*names),
                 shard_keys=["hot"] * len(names),
             )
             assert [r.program for r in results] == names
@@ -321,7 +387,7 @@ class TestFabricDirect:
         try:
             results = fabric.map(
                 figure10_worker,
-                [("505.mcf_r", 2)],
+                _fig10_units("505.mcf_r"),
                 shard_keys=["only"],
             )
             assert results[0].program == "505.mcf_r"

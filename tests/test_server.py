@@ -7,9 +7,9 @@ Three families of guarantees:
     directly through :class:`repro.runtime.session.Session` (or the
     fuzz/sweep drivers).  The server adds transport, never semantics.
 (b) **Isolation** — concurrent jobs build their sessions from validated
-    request models plus startup-captured defaults; one job's config
-    (engine/shadow/tool, telemetry registry) can never leak into a
-    neighbour, and sweep env overrides are restored on exit.
+    request models on top of the run config captured at startup; one
+    job's config (engine/tool, telemetry registry) can never leak into a
+    neighbour, and no job touches the process environment.
 (c) **Lifecycle** — submissions validate at the door (422 with a
     FastAPI-shaped detail body), cancellation lands mid-run at the next
     checkpoint, and shutdown drains the job manager and the shared
@@ -17,16 +17,19 @@ Three families of guarantees:
 """
 
 import os
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
 from repro import ProgramBuilder, Session
+from repro.config import RunConfig
 from repro.analysis import parallel
 from repro.reporting import format_all_reports
 from repro.server import ServerConfig, create_app
-from repro.server.config import ExecutionDefaults, config_from_env
+from repro.server.config import config_from_env
 from repro.server.programs import build_demo_program, load_program
 from repro.server.testclient import TestClient
 
@@ -154,6 +157,20 @@ class TestSubmissionValidation:
         )
         assert response.status_code == 422
 
+    def test_shadow_field_is_422(self, client):
+        # there is one shadow plane; requests still naming one are stale
+        response = client.post(
+            "/jobs/run",
+            json={"program": {"corpus": "demo"},
+                  "config": {"tool": "GiantSan", "shadow": "bytearray"}},
+        )
+        assert response.status_code == 422
+        response = client.post(
+            "/jobs/sweep", json={"target": "fig11", "shadow": "numpy"}
+        )
+        assert response.status_code == 422
+        assert client.get("/jobs").json()["jobs"] == []
+
     def test_unknown_sweep_target_is_422(self, client):
         response = client.post("/jobs/sweep", json={"target": "table99"})
         assert response.status_code == 422
@@ -179,7 +196,7 @@ class TestRunJobs:
         assert detail["status"] == "done", detail["error"]
         served = detail["result"]
 
-        session = Session("GiantSan", telemetry=True)
+        session = Session("GiantSan", RunConfig.from_env(telemetry=True))
         result = session.run(build_demo_program())
         assert served["reports"] == format_all_reports(session.sanitizer)
         assert served["return_value"] == result.return_value
@@ -200,7 +217,7 @@ class TestRunJobs:
         assert detail["status"] == "done", detail["error"]
         served = detail["result"]
 
-        session = Session("GiantSan", telemetry=True)
+        session = Session("GiantSan", RunConfig.from_env(telemetry=True))
         result = session.run(load_program(DEMO_IR))
         assert served["reports"] == format_all_reports(session.sanitizer)
         assert served["stats"] == result.stats.as_dict()
@@ -223,7 +240,8 @@ class TestRunJobs:
         assert served["tool"] == "ASan"
 
         session = Session(
-            "ASan", engine="compiled", fastpath=False, telemetry=True
+            "ASan",
+            RunConfig.from_env(engine="compiled", fastpath=False, telemetry=True),
         )
         session.run(build_demo_program())
         assert served["reports"] == format_all_reports(session.sanitizer)
@@ -291,7 +309,7 @@ class TestConcurrentJobIsolation:
             (first, "GiantSan", build_demo_program()),
             (second, "ASan", None),
         ):
-            session = Session(tool, telemetry=True)
+            session = Session(tool, RunConfig.from_env(telemetry=True))
             if program is None:
                 from repro.workloads import SPEC_BY_NAME
 
@@ -309,14 +327,74 @@ class TestConcurrentJobIsolation:
             assert served == expected[job_id], "telemetry cross-contaminated"
 
     def test_sweep_env_override_does_not_leak(self, client):
-        before = os.environ.get("REPRO_ENGINE")
+        env_before = os.environ.get("REPRO_ENGINE")
+        captured = client.get("/stats").json()["defaults"]
         detail = _submit_and_wait(
             client,
             "sweep",
             {"target": "fig11", "jobs": 1, "engine": "compiled"},
         )
         assert detail["status"] == "done", detail["error"]
-        assert os.environ.get("REPRO_ENGINE") == before
+        assert os.environ.get("REPRO_ENGINE") == env_before
+        assert client.get("/stats").json()["defaults"] == captured
+        # a run job after the sweep still gets the captured engine
+        run = _submit_and_wait(
+            client, "run", {"program": {"corpus": "demo"}}
+        )
+        assert run["result"]["config"]["engine"] == captured["engine"]
+
+    def test_sweep_fuzz_and_run_jobs_run_together(self):
+        """A compiled-engine sweep, a fuzz campaign and a run job in
+        flight at once: none waits on another's settings, each matches
+        the CLI under its own settings, and the run job keeps the
+        server's engine."""
+        app = create_app(
+            ServerConfig(max_concurrency=3), run_config=RunConfig()
+        )
+        with TestClient(app) as tc:
+            sweep = tc.post("/jobs/sweep", json={
+                "target": "table4", "jobs": 2, "engine": "compiled",
+            }).json()["id"]
+            fuzz = tc.post("/jobs/fuzz", json={
+                "iterations": 12, "seed": 11, "jobs": 2,
+            }).json()["id"]
+            run = tc.post("/jobs/run", json={
+                "program": {"corpus": "demo"},
+                "config": {"tool": "ASan"},
+            }).json()["id"]
+            details = {
+                job_id: tc.wait_for_job(job_id, timeout=300)
+                for job_id in (sweep, fuzz, run)
+            }
+        for detail in details.values():
+            assert detail["status"] == "done", detail["error"]
+        assert details[run]["result"]["config"]["engine"] == "tree"
+
+        env = {
+            key: value for key, value in os.environ.items()
+            if not key.startswith("REPRO_")
+        }
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+
+        def cli(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "repro", *argv], env=env,
+                capture_output=True, text=True, timeout=300,
+            ).stdout
+
+        assert details[sweep]["result"]["rendered"] + "\n" == cli(
+            "table4", "--jobs", "2", "--engine", "compiled"
+        )
+        served = details[fuzz]["result"]
+        assert cli(
+            "fuzz", "--iterations", "12", "--seed", "11", "--jobs", "2"
+        ) == (
+            f"fuzzed {served['cases']} cases (seed=11, "
+            f"{served['buggy_cases']} with injected bugs) under all tools, "
+            "fastpath on+off\n"
+            f"invariant checks passed: {served['invariant_checks']}\n"
+            f"divergences: {served['divergences']}\n"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -333,7 +411,9 @@ class TestCampaignJobs:
 
         from repro.fuzz.driver import fuzz_worker
 
-        direct = fuzz_worker((11, 0, 20, 0.6, True, False))
+        direct = fuzz_worker(
+            (11, 0, 20, 0.6, True, False, RunConfig.from_env())
+        )
         assert served["cases"] == direct.cases == 20
         assert served["buggy_cases"] == direct.buggy_cases
         assert served["invariant_checks"] == direct.invariant_checks
@@ -454,9 +534,10 @@ class TestConfig:
     def test_defaults_capture_matches_process_defaults(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "compiled")
         monkeypatch.setenv("REPRO_FASTPATH", "0")
-        defaults = ExecutionDefaults.capture()
-        assert defaults.engine == "compiled"
-        assert defaults.fastpath is False
+        run_config = create_app(ServerConfig()).state.run_config
+        assert run_config == RunConfig.from_env()
+        assert run_config.engine == "compiled"
+        assert run_config.fastpath is False
 
     def test_stats_reports_config_echo(self, client):
         stats = client.get("/stats").json()

@@ -1,13 +1,11 @@
-"""Differential + property tests for the vectorized shadow backend.
+"""Property tests for the shadow plane's bulk primitives.
 
-The numpy shadow plane (:mod:`repro.shadow.numpy_shadow`) must be
-byte-identical to the reference bytearray plane on every primitive —
-fill, write_codes/poison_codes, find_not_full — and on every consumer:
-the region-scan oracle, GiantSan code construction, and whole sanitizer
-runs including quarantine poisoning.  Hypothesis drives the shadow
-states across the edge cases the kernels special-case: unaligned region
-ends, k-partial segments, the degree-63 fold cap, empty regions, and
-both sides of the vectorization thresholds.
+The bytearray plane's whole-slice kernels — fill, find_not_full, the
+region-scan oracle and GiantSan code construction — must agree with
+plain per-byte / per-segment reference walks.  Hypothesis drives the
+shadow states across the edge cases the kernels special-case: unaligned
+region ends, k-partial segments, the degree-63 fold cap, and empty
+regions.
 """
 
 import pytest
@@ -20,22 +18,8 @@ from repro.memory.fillcache import (
     fill_cache_stats,
     fill_pattern,
 )
-from repro.shadow import (
-    SHADOW_BACKENDS,
-    ShadowMemory,
-    asan_encoding,
-    giantsan_encoding,
-    make_shadow,
-    resolve_shadow_backend,
-    shadow_backend_default,
-)
-from repro.shadow.folding import MAX_DEGREE, run_lengths
-from repro.shadow.numpy_shadow import (
-    FILL_VECTOR_MIN,
-    SCAN_VECTOR_MIN,
-    NumpyShadowMemory,
-    expand_codes_array,
-)
+from repro.shadow import ShadowMemory, asan_encoding, giantsan_encoding
+from repro.shadow.folding import MAX_DEGREE, degree_for_remaining, run_lengths
 from repro.shadow.oracle import (
     bulk_region_is_addressable,
     region_is_addressable,
@@ -59,52 +43,18 @@ _BULK_SETTINGS = settings(
 
 
 # ----------------------------------------------------------------------
-# backend registry / selection
+# primitives against per-byte references: fill / find_not_full
 # ----------------------------------------------------------------------
-def test_registry_contains_both_backends():
-    assert set(SHADOW_BACKENDS) == {"bytearray", "numpy"}
-    assert SHADOW_BACKENDS["bytearray"] is ShadowMemory
-    assert SHADOW_BACKENDS["numpy"] is NumpyShadowMemory
+def _plane():
+    return ShadowMemory(MEM)
 
 
-def test_make_shadow_explicit():
-    assert make_shadow(MEM, "bytearray").backend == "bytearray"
-    numpy_plane = make_shadow(MEM, "numpy")
-    assert numpy_plane.backend == "numpy"
-    assert numpy_plane.vectorized
-
-
-def test_make_shadow_env_default(monkeypatch):
-    monkeypatch.delenv("REPRO_SHADOW", raising=False)
-    assert shadow_backend_default() == "bytearray"
-    monkeypatch.setenv("REPRO_SHADOW", "numpy")
-    assert shadow_backend_default() == "numpy"
-    assert make_shadow(MEM).backend == "numpy"
-    monkeypatch.setenv("REPRO_SHADOW", "  NUMPY  ")
-    assert shadow_backend_default() == "numpy"
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError, match="bytearray"):
-        resolve_shadow_backend("cuda")
-
-
-def test_numpy_view_aliases_bytearray():
-    """The ndarray and the bytearray are two views of one buffer."""
-    shadow = make_shadow(MEM, "numpy")
-    shadow.fill(10, 100, 0xFA)  # vectorized path
-    assert shadow._shadow[10] == 0xFA  # scalar probes see it
-    shadow.store(55, 0x33)  # scalar store
-    assert int(shadow._np[55]) == 0x33  # ndarray sees it
-    view = shadow.view(50, 10)
-    assert view[5] == 0x33  # memoryview sees it too
-
-
-# ----------------------------------------------------------------------
-# primitive equivalence: fill / write_codes / find_not_full
-# ----------------------------------------------------------------------
-def _pair():
-    return make_shadow(MEM, "bytearray"), make_shadow(MEM, "numpy")
+def _find_not_full_reference(shadow, index, count, full_flags):
+    """Per-byte walk: offset of the first non-full code, or -1."""
+    for offset in range(count):
+        if full_flags[shadow.load(index + offset)]:
+            return offset
+    return -1
 
 
 @settings(max_examples=60, deadline=None)
@@ -115,19 +65,22 @@ def _pair():
 )
 def test_fill_matches_reference(index, count, code):
     count = min(count, SIZE - index)
-    ref, vec = _pair()
-    ref.fill(index, count, code)
-    vec.fill(index, count, code)
-    assert bytes(ref.region(0, SIZE)) == bytes(vec.region(0, SIZE))
+    shadow = _plane()
+    shadow.store(0, 0x11)
+    shadow.store(SIZE - 1, 0x22)
+    expected = bytearray(shadow.region(0, SIZE))
+    for offset in range(count):
+        expected[index + offset] = code
+    shadow.fill(index, count, code)
+    assert shadow.region(0, SIZE) == bytes(expected)
 
 
 @_BULK_SETTINGS
 @given(data=st.data())
 def test_find_not_full_matches_reference(data):
     """Random shadow states, random windows, both encodings — the
-    vectorized scan must report the reference position, including
-    windows straddling the SCAN_VECTOR_MIN fallback threshold."""
-    ref, vec = _pair()
+    translate/find scan must report the per-byte reference position."""
+    shadow = _plane()
     # paint random runs of codes drawn from both encodings' alphabets
     alphabet = [0, 1, 7, 8, 57, 63, 64, 65, 71, 0xF2, 0xFA, 0xFD]
     cursor = 0
@@ -135,63 +88,53 @@ def test_find_not_full_matches_reference(data):
         run = data.draw(st.integers(min_value=1, max_value=300))
         run = min(run, SIZE - cursor)
         code = data.draw(st.sampled_from(alphabet))
-        ref.fill(cursor, run, code)
-        vec.fill(cursor, run, code)
+        shadow.fill(cursor, run, code)
         cursor += run
     index = data.draw(st.integers(min_value=0, max_value=SIZE - 1))
-    count = data.draw(
-        st.sampled_from(
-            [0, 1, 2, SCAN_VECTOR_MIN - 1, SCAN_VECTOR_MIN,
-             SCAN_VECTOR_MIN + 1, 200, SIZE - index]
-        )
-    )
+    count = data.draw(st.sampled_from([0, 1, 2, 47, 48, 49, 200, SIZE - index]))
     count = min(count, SIZE - index)
     for prefix_of in (
         asan_encoding.addressable_prefix,
         giantsan_encoding.addressable_prefix,
     ):
         _, full_flags = scan_tables(prefix_of)
-        assert ref.find_not_full(index, count, full_flags) == vec.find_not_full(
+        assert shadow.find_not_full(
             index, count, full_flags
-        )
+        ) == _find_not_full_reference(shadow, index, count, full_flags)
 
 
 def test_find_not_full_non_monotone_table():
-    """A predicate whose full set is not a threshold (full = even codes)
-    exercises the fancy-index fallback."""
+    """A predicate whose full set is not a threshold (full = even codes)."""
     full_flags = bytes(0 if code % 2 == 0 else 1 for code in range(256))
-    ref, vec = _pair()
+    shadow = _plane()
     for i in range(SIZE):
-        code = (i * 7) % 256
-        ref.store(i, code)
-        vec.store(i, code)
-    for index, count in [(0, SIZE), (3, 1000), (100, SCAN_VECTOR_MIN + 5)]:
-        assert ref.find_not_full(index, count, full_flags) == vec.find_not_full(
+        shadow.store(i, (i * 7) % 256)
+    for index, count in [(0, SIZE), (3, 1000), (100, 53)]:
+        assert shadow.find_not_full(
             index, count, full_flags
-        )
+        ) == _find_not_full_reference(shadow, index, count, full_flags)
 
 
 def test_find_not_full_all_full_returns_minus_one():
-    _, vec = _pair()
-    vec.fill(0, SIZE, 0)  # all GOOD under ASan
+    shadow = _plane()
+    shadow.fill(0, SIZE, 0)  # all GOOD under ASan
     _, full_flags = scan_tables(asan_encoding.addressable_prefix)
-    assert vec.find_not_full(0, SIZE, full_flags) == -1
+    assert shadow.find_not_full(0, SIZE, full_flags) == -1
     # all-poison: position 0
-    vec.fill(0, SIZE, 0xFA)
-    assert vec.find_not_full(0, SIZE, full_flags) == 0
+    shadow.fill(0, SIZE, 0xFA)
+    assert shadow.find_not_full(0, SIZE, full_flags) == 0
 
 
 # ----------------------------------------------------------------------
 # region scans: oracle vs the per-segment reference walk
 # ----------------------------------------------------------------------
-def _random_state(data, shadow_a, shadow_b, alphabet):
+def _random_state(data, shadow, alphabet):
     cursor = 0
     while cursor < SIZE:
         run = data.draw(st.integers(min_value=1, max_value=200))
         run = min(run, SIZE - cursor)
         code = data.draw(st.sampled_from(alphabet))
-        shadow_a.fill(cursor, run, code)
-        shadow_b.fill(cursor, run, code)
+        shadow.fill(cursor, run, code)
         cursor += run
 
 
@@ -199,51 +142,61 @@ def _random_state(data, shadow_a, shadow_b, alphabet):
 @given(data=st.data())
 def test_scan_region_matches_reference_walk_giantsan(data):
     """Byte-range scans (unaligned ends included) agree with the
-    slow per-segment reference on both backends, GiantSan codes."""
-    ref, vec = _pair()
+    slow per-segment reference, GiantSan codes."""
+    shadow = _plane()
     alphabet = [64, 63, 1, 65, 66, 71, 0xFB, 0xFD]  # folded/partial/poison
-    _random_state(data, ref, vec, alphabet)
+    _random_state(data, shadow, alphabet)
     start = data.draw(st.integers(min_value=0, max_value=SIZE * 8 - 1))
     length = data.draw(st.integers(min_value=0, max_value=600))
     end = min(start + length, SIZE * 8)
     prefix_of = giantsan_encoding.addressable_prefix
-    expected = region_is_addressable(ref, start, end, prefix_of)
-    for shadow in (ref, vec):
-        got = bulk_region_is_addressable(shadow, start, end, prefix_of)
-        assert got == expected, (start, end, shadow.backend)
-        ok, fault, visited = scan_region(shadow, start, end, prefix_of)
-        assert (ok, fault) == expected
-        assert 0 <= visited <= ((end - 1) >> 3) - (start >> 3) + 1 or end <= start
+    expected = region_is_addressable(shadow, start, end, prefix_of)
+    got = bulk_region_is_addressable(shadow, start, end, prefix_of)
+    assert got == expected, (start, end)
+    ok, fault, visited = scan_region(shadow, start, end, prefix_of)
+    assert (ok, fault) == expected
+    assert 0 <= visited <= ((end - 1) >> 3) - (start >> 3) + 1 or end <= start
 
 
 @_BULK_SETTINGS
 @given(data=st.data())
 def test_scan_region_matches_reference_walk_asan(data):
-    ref, vec = _pair()
+    shadow = _plane()
     alphabet = [0, 1, 3, 7, 0xF2, 0xFA, 0xFD, 0xFE]
-    _random_state(data, ref, vec, alphabet)
+    _random_state(data, shadow, alphabet)
     start = data.draw(st.integers(min_value=0, max_value=SIZE * 8 - 1))
     length = data.draw(st.integers(min_value=0, max_value=600))
     end = min(start + length, SIZE * 8)
     prefix_of = asan_encoding.addressable_prefix
-    expected = region_is_addressable(ref, start, end, prefix_of)
-    for shadow in (ref, vec):
-        assert bulk_region_is_addressable(shadow, start, end, prefix_of) == expected
+    expected = region_is_addressable(shadow, start, end, prefix_of)
+    assert bulk_region_is_addressable(shadow, start, end, prefix_of) == expected
 
 
 def test_scan_region_empty_region():
-    for backend in ("bytearray", "numpy"):
-        shadow = make_shadow(MEM, backend)
-        shadow.fill(0, SIZE, 0xFA)
-        ok, fault, visited = scan_region(
-            shadow, 100, 100, asan_encoding.addressable_prefix
-        )
-        assert ok and fault is None and visited == 0
+    shadow = _plane()
+    shadow.fill(0, SIZE, 0xFA)
+    ok, fault, visited = scan_region(
+        shadow, 100, 100, asan_encoding.addressable_prefix
+    )
+    assert ok and fault is None and visited == 0
 
 
 # ----------------------------------------------------------------------
-# GiantSan code construction: vectorized run expansion
+# GiantSan code construction: run expansion vs the per-segment walk
 # ----------------------------------------------------------------------
+def _codes_reference(size: int) -> bytes:
+    """Figure 5 segment by segment: each good segment's degree from the
+    good segments remaining, then the partial tail."""
+    good, tail = divmod(size, 8)
+    codes = bytes(
+        giantsan_encoding.encode_folded(degree_for_remaining(good - i))
+        for i in range(good)
+    )
+    if tail:
+        codes += bytes([giantsan_encoding.encode_partial(tail)])
+    return codes
+
+
 @pytest.mark.parametrize(
     "size",
     [
@@ -252,70 +205,30 @@ def test_scan_region_empty_region():
     ],
 )
 def test_expand_codes_array_matches_reference(size):
+    """The expanded code array (and the public, memoized entry point)
+    equals the per-segment walk, small and large objects alike."""
     good, tail = divmod(size, 8)
-    runs = run_lengths(good)
-    expected = giantsan_encoding._expand_codes(runs, tail)
-    assert expand_codes_array(runs, tail) == expected
-    # and the public entry point agrees regardless of which path it took
+    expected = _codes_reference(size)
+    assert giantsan_encoding._expand_codes(run_lengths(good), tail) == expected
     assert giantsan_encoding.object_codes(size) == expected
 
 
 def test_expand_codes_degree_cap():
     """A synthetic run at the degree-63 fold cap expands correctly."""
     runs = [(MAX_DEGREE, 5), (0, 1)]
-    assert expand_codes_array(runs, 3) == (
+    assert giantsan_encoding._expand_codes(runs, 3) == (
         bytes([64 - MAX_DEGREE]) * 5 + bytes([64]) + bytes([72 - 3])
     )
-
-
-def test_expand_codes_rejects_bad_degree_and_tail():
-    with pytest.raises(ValueError):
-        expand_codes_array([(MAX_DEGREE + 1, 1)], 0)
-    with pytest.raises(ValueError):
-        expand_codes_array([(0, 1)], 8)
-    with pytest.raises(ValueError):
-        expand_codes_array([(0, -1)], 0)
 
 
 @settings(max_examples=40, deadline=None)
 @given(size=st.integers(min_value=0, max_value=1 << 16))
 def test_object_codes_property(size):
-    good, tail = divmod(size, 8)
-    runs = run_lengths(good)
-    assert expand_codes_array(runs, tail) == giantsan_encoding._expand_codes(
-        runs, tail
-    )
-
-
-# ----------------------------------------------------------------------
-# whole-sanitizer equivalence, including quarantine poisoning
-# ----------------------------------------------------------------------
-def test_sanitizer_shadow_identical_across_backends():
-    """malloc/free/quarantine churn leaves byte-identical shadow planes
-    and identical stats on both backends, for both encodings."""
-    from repro.sanitizers import SANITIZER_FACTORIES
-
-    for tool in ("GiantSan", "ASan"):
-        planes = {}
-        stats = {}
-        for backend in ("bytearray", "numpy"):
-            san = SANITIZER_FACTORIES[tool](shadow_backend=backend)
-            assert san.shadow.backend == backend
-            live = []
-            for i in range(40):
-                live.append(san.malloc(24 + 17 * i).base)
-                if i % 3 == 2:
-                    san.free(live.pop(0))
-            for base in live:
-                san.free(base)  # drives quarantine eviction + repoison
-            planes[backend] = bytes(san.shadow.region(0, len(san.shadow._shadow)))
-            stats[backend] = san.stats.as_dict()
-        assert planes["bytearray"] == planes["numpy"], tool
-        assert stats["bytearray"] == stats["numpy"], tool
+    assert giantsan_encoding.object_codes(size) == _codes_reference(size)
 
 
 def test_view_is_zero_copy():
-    shadow = make_shadow(MEM, "bytearray")
+    shadow = _plane()
     view = shadow.view(0, 16)
     shadow.store(3, 0x55)
     assert view[3] == 0x55  # no snapshot was taken
@@ -374,15 +287,3 @@ def test_fill_cache_small_fills_unbounded_path_unchanged():
         assert fill_cache_stats()["resident_bytes"] <= 1 << 16
     finally:
         clear_fill_patterns()
-
-
-# ----------------------------------------------------------------------
-# small-region fallback thresholds documented behaviour
-# ----------------------------------------------------------------------
-def test_vector_thresholds_are_sane():
-    assert 0 < FILL_VECTOR_MIN <= SCAN_VECTOR_MIN
-    # below the threshold the numpy plane uses the reference kernels —
-    # identical results were asserted above; here just pin the constants
-    # so a silent change shows up in review
-    assert SCAN_VECTOR_MIN == 48
-    assert FILL_VECTOR_MIN == 32

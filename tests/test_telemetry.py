@@ -10,6 +10,7 @@ must agree with both.
 import pytest
 
 from repro import ProgramBuilder, Session
+from repro.config import RunConfig
 from repro.analysis import (
     ProfileStudy,
     profile_program,
@@ -27,7 +28,6 @@ from repro.telemetry import (
     PhaseProfiler,
     Telemetry,
     TelemetrySnapshot,
-    telemetry_enabled_default,
 )
 from repro.workloads.spec import SPEC_BY_NAME
 
@@ -141,11 +141,11 @@ class TestTelemetryRegistry:
 
     def test_env_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-        assert telemetry_enabled_default() is False
+        assert RunConfig.from_env().telemetry is False
         monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        assert telemetry_enabled_default() is True
+        assert RunConfig.from_env().telemetry is True
         monkeypatch.setenv("REPRO_TELEMETRY", "off")
-        assert telemetry_enabled_default() is False
+        assert RunConfig.from_env().telemetry is False
 
     def test_snapshot_as_dict_schema(self):
         snap = TelemetrySnapshot(
@@ -182,7 +182,9 @@ class TestSessionIntegration:
         assert session.sanitizer.telemetry is None  # no probes installed
 
     def test_on_yields_snapshot(self):
-        result = Session("GiantSan", telemetry=True).run(small_program())
+        result = Session(
+            "GiantSan", RunConfig.from_env(telemetry=True)
+        ).run(small_program())
         assert isinstance(result.telemetry, TelemetrySnapshot)
         assert result.telemetry.tool == "GiantSan"
         assert result.telemetry.counters["allocations"] == 1
@@ -203,9 +205,12 @@ class TestSessionIntegration:
     @pytest.mark.parametrize("fastpath", [False, True])
     def test_results_invariant_under_telemetry(self, fastpath):
         spec = SPEC_BY_NAME["505.mcf_r"]
-        plain = Session("GiantSan", fastpath=fastpath).run(spec.build(), [1])
+        plain = Session(
+            "GiantSan", RunConfig.from_env(fastpath=fastpath)
+        ).run(spec.build(), [1])
         traced = Session(
-            "GiantSan", fastpath=fastpath, telemetry=True
+            "GiantSan",
+            RunConfig.from_env(fastpath=fastpath, telemetry=True),
         ).run(spec.build(), [1])
         assert plain.stats.as_dict() == traced.stats.as_dict()
         assert plain.errors == traced.errors
@@ -275,7 +280,9 @@ def run_with_ground_truth_shim(name: str):
     san.check_cached = shim_cached
 
     spec = SPEC_BY_NAME[name]
-    result = Session(san, fastpath=False, telemetry=tele).run(
+    result = Session(
+        san, RunConfig.from_env(fastpath=False), telemetry=tele
+    ).run(
         spec.build(), [1]
     )
     return result, calls, oracle_disagreements
@@ -343,7 +350,9 @@ class TestConvergence:
 
     def test_interpreter_tracks_per_site_convergence(self):
         spec = SPEC_BY_NAME["520.omnetpp_r"]
-        result = Session("GiantSan", fastpath=False, telemetry=True).run(
+        result = Session(
+            "GiantSan", RunConfig.from_env(fastpath=False, telemetry=True)
+        ).run(
             spec.build(), [1]
         )
         snap = result.telemetry
@@ -422,7 +431,7 @@ class TestMergeAPI:
             with f.loop("i", 0, 8) as i:
                 f.store("buf", i * 8, 8, i)
             f.free("buf")
-        session = Session(tool, telemetry=True)
+        session = Session(tool, RunConfig.from_env(telemetry=True))
         result = session.run(builder.build())
         return result.telemetry
 
@@ -487,7 +496,7 @@ class TestMergeAPI:
         # sequential ground truth
         expected = {}
         for tool, iterations in (("GiantSan", 8), ("ASan", 24)):
-            session = Session(tool, telemetry=True)
+            session = Session(tool, RunConfig.from_env(telemetry=True))
             session.run(build(iterations))
             snapshot = session.telemetry.snapshot()
             expected[tool] = (snapshot.counters, snapshot.convergence_per_site)
@@ -496,7 +505,7 @@ class TestMergeAPI:
         barrier = threading.Barrier(2)
 
         def run(tool, iterations):
-            session = Session(tool, telemetry=True)
+            session = Session(tool, RunConfig.from_env(telemetry=True))
             program = build(iterations)
             barrier.wait(timeout=30)
             session.run(program)
