@@ -23,16 +23,11 @@ invocation shares:
   Results are reassembled in submission order, which keeps parallel runs
   byte-identical to ``--jobs 1`` no matter who ran what.
 
-* **Shared-memory result transport.**  Each worker owns a
-  :class:`multiprocessing.shared_memory.SharedMemory` scratch segment,
-  created before the fork so children inherit the mapping directly
-  (no name re-attach, no resource-tracker churn).  Workers serialize
-  results into their segment and post only ``(seq, length)`` over the
-  event queue; the parent deserializes straight out of the shared
-  buffer.  Oversized results fall back to inline queue transport.
-  Since the scheduler keeps at most one unit in flight per worker and
-  assigns the next unit only after consuming the previous result, the
-  segment needs no further synchronization.
+* **One result transport: the event queue.**  A worker pickles each
+  result inside the unit's ``try`` and posts the bytes; the parent
+  unpickles them.  An unpicklable result is thus an ordinary unit
+  failure — a ``Queue`` pickling it in its feeder thread would swallow
+  the error and hang the map.
 
 Work units are dispatched *by reference* (``module:qualname`` of a
 module-level worker function) plus a small picklable payload, exactly
@@ -47,22 +42,11 @@ import os
 import pickle
 import queue as queue_module
 import signal
+import time
 import traceback
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
-
-#: Default size of each worker's shared-memory scratch segment.  Table
-#: rows (RunResult bundles) pickle to a few hundred KiB at most; results
-#: that outgrow the segment transparently fall back to queue transport.
-DEFAULT_SCRATCH_BYTES = 1 << 20
-
-
-def _scratch_bytes() -> int:
-    try:
-        return max(int(os.environ.get("REPRO_FABRIC_SHM_BYTES", "")), 4096)
-    except ValueError:
-        return DEFAULT_SCRATCH_BYTES
 
 
 def worker_ref(func: Callable) -> str:
@@ -185,13 +169,12 @@ class _Scheduler:
         return unit
 
 
-def _worker_main(worker_id: int, inbox, events, scratch) -> None:
+def _worker_main(worker_id: int, inbox, events) -> None:
     """The long-lived worker loop: run units until told to stop."""
     # A terminal Ctrl-C delivers SIGINT to the whole foreground process
     # group, which used to kill workers mid-unit *before* the parent's
-    # cleanup ran — leaking /dev/shm scratch segments whose unlink raced
-    # the dying children.  Workers ignore SIGINT; the parent owns
-    # interrupt cleanup and retires them via ``stop`` or terminate().
+    # cleanup ran.  Workers ignore SIGINT; the parent owns interrupt
+    # cleanup and retires them via ``stop`` or terminate().
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - exotic platforms
@@ -219,19 +202,15 @@ def _worker_main(worker_id: int, inbox, events, scratch) -> None:
             )
             continue
         _, seq, ref, payload = message
-        try:
-            result = _resolve_worker(ref)(payload)
+        try:  # pickle here, not in the Queue's feeder thread (module doc)
+            data = pickle.dumps(
+                _resolve_worker(ref)(payload), protocol=pickle.HIGHEST_PROTOCOL
+            )
+            event = ("result", worker_id, seq, data)
         except Exception:  # noqa: BLE001 - ship the traceback to the parent
-            events.put(("error", worker_id, seq, traceback.format_exc()))
-            continue
-        finally:
-            units_executed += 1
-        data = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        if scratch is not None and len(data) <= scratch.size:
-            scratch.buf[: len(data)] = data
-            events.put(("result", worker_id, seq, len(data)))
-        else:
-            events.put(("result-inline", worker_id, seq, data))
+            event = ("error", worker_id, seq, traceback.format_exc())
+        units_executed += 1
+        events.put(event)
 
 
 class ExecutionFabric:
@@ -243,33 +222,14 @@ class ExecutionFabric:
         self.workers = workers
         try:
             self._context = multiprocessing.get_context("fork")
-            forked = True
         except ValueError:  # platforms without fork: workers re-import
             self._context = multiprocessing.get_context()
-            forked = False
         self._events = self._context.Queue()
         self._inboxes = [self._context.SimpleQueue() for _ in range(workers)]
-        # Shared-memory scratch only with fork: children must inherit
-        # the mapping (attaching by name from a spawned child would
-        # re-register the segment with the resource tracker).
-        self._scratch = []
-        if forked:
-            try:
-                from multiprocessing import shared_memory
-
-                for _ in range(workers):
-                    self._scratch.append(
-                        shared_memory.SharedMemory(
-                            create=True, size=_scratch_bytes()
-                        )
-                    )
-            except Exception:  # no /dev/shm etc.: inline transport
-                self._release_scratch()
-        scratch = self._scratch or [None] * workers
         self._processes = [
             self._context.Process(
                 target=_worker_main,
-                args=(wid, self._inboxes[wid], self._events, scratch[wid]),
+                args=(wid, self._inboxes[wid], self._events),
                 daemon=True,
                 name=f"repro-fabric-{wid}",
             )
@@ -315,13 +275,7 @@ class ExecutionFabric:
             message = self._next_event()
             kind, worker_id = message[0], message[1]
             if kind == "result":
-                seq, length = message[2], message[3]
-                results[seq] = pickle.loads(
-                    bytes(self._scratch[worker_id].buf[:length])
-                )
-            elif kind == "result-inline":
-                seq, data = message[2], message[3]
-                results[seq] = pickle.loads(data)
+                results[message[2]] = pickle.loads(message[3])
             elif kind == "error":
                 errors.append(message[3])
             else:  # pragma: no cover - stat replies never interleave
@@ -391,7 +345,6 @@ class ExecutionFabric:
             "units_dispatched": self._scheduler.dispatched,
             "units_stolen": self._scheduler.steals,
             "units_inflight": len(self._inflight),
-            "shared_memory": bool(self._scratch),
         }
 
     # ------------------------------------------------------------------
@@ -402,11 +355,12 @@ class ExecutionFabric:
 
         This is the *invalidation* path (worker count changed): no
         in-flight unit is killed unless its worker ignores ``stop`` past
-        ``timeout``.  The returned
-        :class:`DrainReport` accounts for everything a non-clean drain
-        left behind — stuck workers, the in-flight units they dropped,
-        results no map will ever claim, and never-dispatched units —
-        instead of silently discarding them.
+        ``timeout``, and the :class:`DrainReport` names anything lost.
+
+        Events are read *while* the workers exit, not after: a worker
+        whose queue feeder still holds an unflushed result cannot exit
+        until the parent empties the pipe.  The queue is never read once
+        a worker has been terminated — it may have died mid-message.
         """
         if self._closed:
             return DrainReport()
@@ -414,25 +368,26 @@ class ExecutionFabric:
         report = DrainReport(pending_units=self._scheduler.pending)
         for inbox in self._inboxes:
             inbox.put(("stop",))
-        stuck_ids = []
-        for worker_id, process in enumerate(self._processes):
-            process.join(timeout=timeout)
-            if process.is_alive():
-                report.stuck_workers.append(process.name)
-                stuck_ids.append(worker_id)
-                process.terminate()
-                process.join()
-        # Workers that exited cleanly posted any last result before
-        # taking ``stop``; sweep those events so completed units are
-        # counted as unclaimed rather than lost.
+        deadline = time.monotonic() + timeout
         while True:
+            # liveness is sampled before the poll: once every worker has
+            # exited (flushing its queue on the way out), an empty poll
+            # means nothing is left to collect
+            exited = not any(p.is_alive() for p in self._processes)
             try:
                 message = self._events.get(timeout=0.05)
             except queue_module.Empty:
-                break
-            if message[0] in ("result", "result-inline", "error"):
+                if exited or time.monotonic() >= deadline:
+                    break
+                continue
+            if message[0] in ("result", "error"):
                 self._inflight.pop(message[1], None)
                 report.unclaimed_results += 1
+        for process in self._processes:
+            if process.is_alive():
+                report.stuck_workers.append(process.name)
+                process.terminate()
+            process.join()
         for worker_id in sorted(self._inflight):
             seq, ref, _payload = self._inflight[worker_id]
             report.lost_units.append(
@@ -443,7 +398,6 @@ class ExecutionFabric:
                 }
             )
         self._inflight.clear()
-        self._release_scratch()
         return report
 
     def terminate(self) -> None:
@@ -456,16 +410,6 @@ class ExecutionFabric:
         for process in self._processes:
             process.join()
         self._inflight.clear()
-        self._release_scratch()
-
-    def _release_scratch(self) -> None:
-        for segment in self._scratch:
-            try:
-                segment.close()
-                segment.unlink()
-            except Exception:  # pragma: no cover - already gone
-                pass
-        self._scratch = []
 
     @property
     def processes(self) -> list:

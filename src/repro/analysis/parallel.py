@@ -11,8 +11,8 @@ Work units are dispatched *by name/index* into the canonical registries
 (:data:`repro.workloads.spec.SPEC_BY_NAME` and friends) rather than by
 pickling built programs: a worker rebuilds its program locally, which
 keeps payloads tiny and sidesteps pickling closures.  Results travel
-back as plain dataclasses (RunResult, CheckStats, ErrorLog) through each
-worker's shared-memory scratch segment.
+back as plain dataclasses (RunResult, CheckStats, ErrorLog), pickled by
+the worker and sent over the fabric's event queue.
 
 Callers pass ``jobs``: ``1`` (the default everywhere) runs inline with
 no multiprocessing machinery at all; anything larger uses the shared

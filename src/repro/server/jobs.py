@@ -17,8 +17,7 @@ Graceful shutdown (lifespan shutdown, so both ``repro serve`` signal
 handlers and in-process test clients exercise it): stop accepting,
 cancel queued jobs, give running jobs ``drain_timeout`` seconds, then
 cancel them too — and finally drain the shared execution fabric off
-the event loop so worker processes exit cleanly and their
-shared-memory scratch segments are released.
+the event loop so worker processes exit cleanly.
 """
 
 from __future__ import annotations

@@ -2,9 +2,8 @@
 
 A terminal Ctrl-C delivers SIGINT to the whole foreground process
 group.  Fabric workers used to die mid-unit from their own SIGINT while
-the parent's cleanup raced them, which could leave ``/dev/shm`` scratch
-segments behind and (with an unlucky interleaving) live worker
-processes whose parent had already exited.  The fix is two-sided:
+the parent's cleanup raced them, which (with an unlucky interleaving)
+could leave live worker processes whose parent had already exited.  The fix is two-sided:
 workers ignore SIGINT (the parent owns interrupt cleanup), and the CLI
 retires the fabric in a ``finally`` block — ``shutdown_pool`` on
 interrupt, graceful ``drain_pool`` otherwise — with SIGTERM routed
@@ -13,7 +12,7 @@ through ``SystemExit`` so the same path runs under a supervisor kill.
 These tests run a real ``python -m repro fuzz --jobs 2`` in its own
 process group, signal it mid-sweep, and assert the ground truth the
 bug was about: exit code, zero surviving processes in the group, and a
-byte-identical ``/dev/shm`` listing.
+byte-identical ``/dev/shm`` listing (the fabric keeps nothing there).
 """
 
 import os
@@ -60,16 +59,27 @@ def _spawn_fuzz_sweep():
     )
 
 
-def _wait_for_workers(before: set, timeout: float = 60.0) -> set:
-    """Wait until the fabric's scratch segments appear in /dev/shm."""
+def _group_members(pgid: int) -> int:
+    """Live (non-zombie) processes in process group ``pgid``."""
+    members = 0
+    for stat in pathlib.Path("/proc").glob("[0-9]*/stat"):
+        try:  # after the parenthesized command: state, ppid, pgrp, ...
+            state, _, pgrp = stat.read_text().rsplit(")", 1)[1].split()[:3]
+        except OSError:  # exited while we looked
+            continue
+        members += state != "Z" and int(pgrp) == pgid
+    return members
+
+
+def _wait_for_workers(pgid: int, timeout: float = 60.0) -> None:
+    """Wait until the CLI and its two fabric workers are all running."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        new = _shm_listing() - before
-        if len(new) >= 2:
+        if _group_members(pgid) >= 3:
             time.sleep(0.3)  # let the map actually start dispatching
-            return new
+            return
         time.sleep(0.05)
-    raise AssertionError("fabric workers never created scratch segments")
+    raise AssertionError("fabric workers never started")
 
 
 def _assert_group_gone(pgid: int, timeout: float = 10.0) -> None:
@@ -90,7 +100,7 @@ def test_signal_mid_sweep_leaves_no_workers_and_no_shm(signum, expected_code):
     before = _shm_listing()
     proc = _spawn_fuzz_sweep()
     try:
-        _wait_for_workers(before)
+        _wait_for_workers(proc.pid)
         os.killpg(proc.pid, signum)
         code = proc.wait(timeout=60)
     finally:

@@ -22,6 +22,7 @@ import pytest
 from repro.analysis import run_overhead_study
 from repro.analysis.detection import run_juliet_study, run_linux_flaw_study
 from repro.analysis.fabric import ExecutionFabric, _Scheduler, shard_slot
+from repro.analysis.fabric import FabricError, worker_ref
 from repro.analysis import parallel
 from repro.analysis.parallel import (
     default_jobs,
@@ -198,15 +199,6 @@ class TestWarmCaches:
         assert parallel._FABRIC is first
         pids = {w["pid"] for w in fabric_stats()["worker_stats"]}
         assert len(pids) == 2  # two live, distinct worker processes
-
-    def test_units_travel_through_shared_memory(self):
-        run_overhead_study(scale=2, jobs=2)
-        stats = fabric_stats()
-        # shared-memory transport is active wherever fork + /dev/shm
-        # exist (everywhere we run CI); inline fallback is still correct
-        # but should not silently become the default
-        if os.name == "posix":
-            assert stats["shared_memory"]
 
 
 def _row_fingerprint(row):
@@ -411,6 +403,45 @@ def quick_worker(payload):
     return payload * 2
 
 
+def sized_worker(size):
+    """A ``size``-byte result whose content shows any corruption."""
+    return (bytes(range(251)) * (size // 251 + 1))[:size]
+
+
+def lambda_worker(payload):
+    return lambda: payload  # no pickler can ship this
+
+
+class TestResultTransport:
+    def test_results_of_every_size_arrive_intact_in_order(self):
+        # straddle the 64 KiB pipe buffer; 2 MiB once took the inline path
+        sizes = [0, 64 * 1024 - 1, 64 * 1024 + 1, 2 * 1024 * 1024]
+        fabric = ExecutionFabric(2)
+        try:
+            results = fabric.map(
+                sized_worker, sizes, shard_keys=["hot"] * len(sizes)
+            )
+            assert results == [sized_worker(size) for size in sizes]
+        finally:
+            assert fabric.drain().clean
+
+    def test_unpicklable_result_fails_the_unit_not_the_fabric(self):
+        fabric = ExecutionFabric(2)
+        try:
+            pids = [p.pid for p in fabric.processes]
+            with pytest.raises(FabricError) as excinfo:
+                fabric.map(lambda_worker, [1], shard_keys=["x"])
+            # the worker's pickling traceback, not a dead-worker report
+            assert "pickle" in str(excinfo.value).lower()
+            results = fabric.map(quick_worker, [1, 2], shard_keys=["a", "b"])
+            assert results == [2, 4]
+            assert [p.pid for p in fabric.processes] == pids
+        finally:
+            report = fabric.drain()
+        assert report.clean
+        assert [p.exitcode for p in fabric.processes] == [0, 0]
+
+
 class TestDrainReport:
     def test_clean_drain_between_maps_loses_nothing(self):
         fabric = ExecutionFabric(2)
@@ -427,8 +458,6 @@ class TestDrainReport:
         assert [p.exitcode for p in fabric.processes] == [0, 0]
 
     def test_wedged_worker_reports_lost_unit_instead_of_silence(self):
-        from repro.analysis.fabric import worker_ref
-
         fabric = ExecutionFabric(2)
         ref = worker_ref(wedge_worker)
         # hand worker 0 a unit that outsleeps the drain timeout
@@ -444,13 +473,9 @@ class TestDrainReport:
         # the wedged worker was terminated; the idle one exited cleanly
         assert fabric.processes[0].exitcode != 0
         assert fabric.processes[1].exitcode == 0
-        # shared-memory scratch is released either way
-        assert fabric._scratch == []
 
     def test_abandoned_map_results_counted_as_unclaimed(self):
         import time as time_module
-
-        from repro.analysis.fabric import worker_ref
 
         fabric = ExecutionFabric(2)
         ref = worker_ref(quick_worker)
@@ -467,6 +492,29 @@ class TestDrainReport:
         assert report.stuck_workers == []
         assert report.lost_units == []
         assert report.unclaimed_results == 1
+
+    @pytest.mark.parametrize(
+        "size", [200 * 1024, 2 * 1024 * 1024], ids=["200KiB", "2MiB"]
+    )
+    def test_abandoned_large_result_does_not_wedge_drain(self, size):
+        """A worker cannot exit until the parent reads a result larger
+        than the pipe buffer, so drain() must read while it waits."""
+        import threading
+
+        fabric = ExecutionFabric(2)
+        fabric._scheduler.submit([(0, worker_ref(sized_worker), size)], ["x"])
+        fabric._assign(0)
+        reports = []
+        thread = threading.Thread(
+            target=lambda: reports.append(fabric.drain(timeout=5)),
+            daemon=True,
+        )
+        thread.start()
+        thread.join(timeout=60)
+        assert reports, "drain() hung on an abandoned result"
+        assert reports[0].unclaimed_results == 1
+        assert reports[0].stuck_workers == []
+        assert [p.exitcode for p in fabric.processes] == [0, 0]
 
     def test_drain_pool_returns_report(self):
         assert parallel.drain_pool() is None  # no fabric yet
