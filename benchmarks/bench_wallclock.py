@@ -123,8 +123,10 @@ def main(argv=None) -> int:
     # quotas respected) is floored at two so single-core machines still
     # exercise the fabric instead of collapsing to the inline runner
     configurations = {
-        "baseline": (RunConfig(fastpath=False, memoize=False), 1),
-        "fastpath": (RunConfig(), 1),
+        "baseline": (
+            RunConfig(engine="tree", fastpath=False, memoize=False), 1
+        ),
+        "fastpath": (RunConfig(engine="tree"), 1),
         "compiled": (RunConfig(engine="compiled"), 1),
         "parallel": (
             RunConfig(engine="compiled"), max(default_jobs(), 2)

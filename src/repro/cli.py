@@ -500,7 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "--engine",
                 choices=["tree", "compiled"],
                 default=None,
-                help="execution engine (default: REPRO_ENGINE or tree); "
+                help="execution engine (default: REPRO_ENGINE or "
+                "compiled); "
                 "observables are identical",
             )
         if name == "table2":

@@ -5,7 +5,7 @@ Every execution setting a run can vary lives in one frozen value:
 ========================  ==========================  ========
 field                     environment variable        default
 ========================  ==========================  ========
-``engine``                ``REPRO_ENGINE``            ``tree``
+``engine``                ``REPRO_ENGINE``            ``compiled``
 ``fastpath``              ``REPRO_FASTPATH``          on
 ``memoize``               ``REPRO_INSTRUMENT_CACHE``  on
 ``interprocedural``       ``REPRO_INTERPROC``         on
@@ -62,7 +62,7 @@ def _parse_bool(name: str, raw: str) -> bool:
 class RunConfig:
     """The execution settings of one run (see the module table)."""
 
-    engine: str = "tree"
+    engine: str = "compiled"
     fastpath: bool = True
     memoize: bool = True
     interprocedural: bool = True

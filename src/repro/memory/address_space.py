@@ -5,10 +5,18 @@ into heap / stack / globals arenas (see :mod:`repro.memory.layout`).  It
 stores real data so workloads can compute with loaded values (the paper's
 ``y[j] = x[i]`` pattern needs genuine loads), and it performs *no* safety
 checking of its own beyond arena bounds — safety is the sanitizers' job.
+
+The bytes live in a private anonymous ``mmap`` rather than a
+``bytearray``: the kernel zero-fills a page only when it is first
+touched, so a session pays for the memory its program uses instead of
+zeroing the whole layout up front.  ``MAP_PRIVATE`` keeps a forked
+worker's stores out of its parent's memory (an anonymous map is
+``MAP_SHARED`` by default).
 """
 
 from __future__ import annotations
 
+import mmap
 import struct
 from typing import Iterable
 
@@ -37,7 +45,7 @@ class AddressSpace:
     def __init__(self, layout: ArenaLayout = None):
         self.layout = layout or ArenaLayout()
         self._size = self.layout.total_size
-        self._mem = bytearray(self._size)
+        self._mem = mmap.mmap(-1, self._size, flags=mmap.MAP_PRIVATE)
 
     def __len__(self) -> int:
         return self._size
@@ -92,7 +100,7 @@ class AddressSpace:
             raise ValueError("size must be non-negative")
         self._bounds_check(src, size)
         self._bounds_check(dst, size)
-        self._mem[dst : dst + size] = bytes(self._mem[src : src + size])
+        self._mem.move(dst, src, size)
 
     def find_byte(self, address: int, byte: int, limit: int) -> int:
         """Offset of the first occurrence of ``byte`` in ``[address,

@@ -77,8 +77,9 @@ class ArenaLayout:
     """Address-range plan for the simulated process.
 
     The heap, stack, and globals arenas are carved out of one contiguous
-    byte buffer; ``total_size`` bytes of backing store and
-    ``total_size >> SEGMENT_SHIFT`` shadow bytes are allocated up front.
+    byte buffer; ``total_size`` bytes of backing store (zeroed lazily,
+    page by page) and ``total_size >> SEGMENT_SHIFT`` shadow bytes are
+    allocated up front.
     """
 
     heap_size: int = 1 << 22

@@ -15,19 +15,24 @@ from typing import Callable, Deque, List
 
 from .allocator import Allocation
 
+#: Called with each chunk leaving the quarantine, before any counter
+#: moves (the sanitizer unpoisons it and returns it to the freelist).
+EvictHook = Callable[[Allocation], None]
+
 
 class Quarantine:
-    """Bounded FIFO of freed allocations awaiting recycling."""
+    """Bounded FIFO of freed allocations awaiting recycling.
 
-    def __init__(
-        self,
-        budget_bytes: int,
-        on_evict: Callable[[Allocation], None],
-    ):
+    The eviction hook is an argument of :meth:`push` and :meth:`drain`,
+    not state: the sanitizer passes its bound method per call, so the
+    quarantine holds no reference back to its owner and a finished
+    session is freed by reference counting, not by the cyclic collector.
+    """
+
+    def __init__(self, budget_bytes: int):
         if budget_bytes < 0:
             raise ValueError("quarantine budget must be non-negative")
         self.budget_bytes = budget_bytes
-        self._on_evict = on_evict
         self._queue: Deque[Allocation] = deque()
         self._held_bytes = 0
         self.total_quarantined = 0
@@ -36,7 +41,7 @@ class Quarantine:
         #: budget trims the queue (the telemetry occupancy metric).
         self.peak_held_bytes = 0
 
-    def _evict_oldest(self) -> Allocation:
+    def _evict_oldest(self, on_evict: EvictHook) -> Allocation:
         """Evict the queue head, keeping the accounting exception-safe.
 
         The ``on_evict`` hook runs *before* any counter moves: if it
@@ -45,7 +50,7 @@ class Quarantine:
         """
         oldest = self._queue.popleft()
         try:
-            self._on_evict(oldest)
+            on_evict(oldest)
         except BaseException:
             self._queue.appendleft(oldest)
             raise
@@ -53,7 +58,9 @@ class Quarantine:
         self.total_evicted += 1
         return oldest
 
-    def push(self, allocation: Allocation) -> List[Allocation]:
+    def push(
+        self, allocation: Allocation, on_evict: EvictHook
+    ) -> List[Allocation]:
         """Quarantine a freed allocation; returns any evicted chunks.
 
         Eviction calls the ``on_evict`` hook (which unpoisons shadow and
@@ -70,10 +77,10 @@ class Quarantine:
         self.total_quarantined += 1
         evicted: List[Allocation] = []
         while self._held_bytes > self.budget_bytes and self._queue:
-            evicted.append(self._evict_oldest())
+            evicted.append(self._evict_oldest(on_evict))
         return evicted
 
-    def drain(self) -> List[Allocation]:
+    def drain(self, on_evict: EvictHook) -> List[Allocation]:
         """Evict everything (used at session teardown).
 
         Chunks are evicted head-first one at a time, so a raising
@@ -82,7 +89,7 @@ class Quarantine:
         """
         evicted: List[Allocation] = []
         while self._queue:
-            evicted.append(self._evict_oldest())
+            evicted.append(self._evict_oldest(on_evict))
         return evicted
 
     @property

@@ -34,10 +34,16 @@ flush the local counters, hand :func:`repro.runtime.fastpath.try_execute`
 a dict view of the live slots, and sync the slots back on success, so
 ``fastpath`` × ``engine`` compose.
 
-Select the engine per session with
-``Session(tool, RunConfig(engine="compiled"))`` or process-wide with
-``REPRO_ENGINE=compiled``; the tree-walker remains the default and the
-reference.
+Codegen is tiered so a run pays only for what it executes: a function
+with a ``Loop`` compiles on its first call, a loop-free one is
+tree-walked on its first call and compiled on its second (a loop-free
+body runs each instruction at most once per call, so lowering it costs
+more than walking it once).  The decision reads only the IR.
+
+This is the default engine.  Select the tree-walker — the reference the
+differential suite compares against — per session with
+``Session(tool, RunConfig(engine="tree"))`` or process-wide with
+``REPRO_ENGINE=tree``.
 """
 
 from __future__ import annotations
@@ -73,7 +79,7 @@ from ..ir.nodes import (
     Strcpy,
     Var,
 )
-from ..ir.program import Function, Program
+from ..ir.program import Function, Program, walk
 from ..memory.address_space import CODEC_BY_WIDTH, _MASK_BY_WIDTH
 from . import fastpath as _fastpath
 from .cost_model import NativeCosts
@@ -84,10 +90,10 @@ from .interpreter import (
 )
 from .intrinsics import guarded_memcpy, guarded_memset, guarded_strcpy
 
-#: Attribute on :class:`~repro.ir.program.Program` memoizing compiled
-#: tables, keyed by (costs, needs_resolve, telemetry_on).  Instrumented
-#: programs shared through the instrumentation memo cache therefore
-#: compile once per process, like fastpath loop plans.
+#: Attribute on :class:`~repro.ir.program.Program` memoizing its
+#: :class:`_CodeTable` per (costs, needs_resolve, telemetry_on).
+#: Instrumented programs shared through the instrumentation memo cache
+#: therefore compile once per process, like fastpath loop plans.
 _TABLE_ATTR = "_closure_tables"
 
 
@@ -667,6 +673,66 @@ def compile_function(
         return None
 
 
+class _CodeTable:
+    """What one Program has compiled under one codegen key.
+
+    ``compiled`` maps names to closures (the dict :func:`compile_program`
+    returns), ``declined`` holds functions that keep tree-walker
+    semantics, and ``walked`` holds loop-free functions tree-walked once
+    and not yet compiled.
+    """
+
+    __slots__ = ("key", "compiled", "declined", "walked")
+
+    def __init__(self, key):
+        self.key = key
+        self.compiled: Dict[str, CompiledFunction] = {}
+        self.declined: set = set()
+        self.walked: set = set()
+
+    def compile(self, function: Function) -> Optional[CompiledFunction]:
+        compiled = compile_function(function, *self.key)
+        if compiled is None:
+            self.declined.add(function.name)
+        else:
+            self.compiled[function.name] = compiled
+        return compiled
+
+    def tier_up(self, function: Function) -> Optional[CompiledFunction]:
+        """Closure for a function not yet in ``compiled``, or None to
+        tree-walk this call: a function with a ``Loop`` compiles on its
+        first call, a loop-free one on its second (module docstring)."""
+        name = function.name
+        if name in self.declined:
+            return None
+        if name not in self.walked and not any(
+            isinstance(instr, Loop) for instr in walk(function.body)
+        ):
+            self.walked.add(name)
+            return None
+        return self.compile(function)
+
+
+def _code_table(
+    program: Program,
+    costs: NativeCosts,
+    needs_resolve: bool,
+    telemetry_on: bool,
+) -> _CodeTable:
+    """The memoized :class:`_CodeTable` of ``program``, keyed by
+    everything the generated source bakes in; ``NativeCosts`` is
+    frozen/hashable so it keys directly."""
+    tables = getattr(program, _TABLE_ATTR, None)
+    if tables is None:
+        tables = {}
+        setattr(program, _TABLE_ATTR, tables)
+    key = (costs, needs_resolve, bool(telemetry_on))
+    table = tables.get(key)
+    if table is None:
+        table = tables[key] = _CodeTable(key)
+    return table
+
+
 def compile_program(
     program: Program,
     costs: NativeCosts,
@@ -675,32 +741,22 @@ def compile_program(
 ) -> Dict[str, CompiledFunction]:
     """Compiled closures for every compilable function of ``program``.
 
-    Results are memoized on the Program object keyed by everything the
-    generated source bakes in; ``NativeCosts`` is frozen/hashable so it
-    keys directly.
+    Eager: every function not yet compiled or declined is lowered now.
+    Results share the memo :class:`CompiledEngine` fills lazily, so
+    either order compiles each function at most once per key.
     """
-    tables = getattr(program, _TABLE_ATTR, None)
-    if tables is None:
-        tables = {}
-        setattr(program, _TABLE_ATTR, tables)
-    key = (costs, needs_resolve, bool(telemetry_on))
-    table = tables.get(key)
-    if table is None:
-        table = {}
-        for name, function in program.functions.items():
-            compiled = compile_function(
-                function, costs, needs_resolve, telemetry_on
-            )
-            if compiled is not None:
-                table[name] = compiled
-        tables[key] = table
-    return table
+    table = _code_table(program, costs, needs_resolve, telemetry_on)
+    for name, function in program.functions.items():
+        if name not in table.compiled and name not in table.declined:
+            table.compile(function)
+    return table.compiled
 
 
 class CompiledEngine(Interpreter):
-    """Interpreter variant that runs pre-lowered closures where possible.
+    """Interpreter variant that runs lowered closures where possible.
 
-    Subclassing keeps full interop: uncompilable functions execute
+    Functions compile on demand (see :meth:`_CodeTable.tier_up`).
+    Subclassing keeps full interop: functions not (yet) compiled execute
     through the inherited tree-walker, calls cross the boundary in both
     directions, and the superblock fast path sees the same attribute
     surface (``instructions``, ``native_cycles``, ``_eval``, …) it
@@ -709,22 +765,26 @@ class CompiledEngine(Interpreter):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._table: Dict[str, CompiledFunction] = {}
+        self._code: Optional[_CodeTable] = None
+        self._compiled: Dict[str, CompiledFunction] = {}
 
     def run(self, iprogram, args=None):
-        self._table = compile_program(
+        self._code = _code_table(
             iprogram.program,
             self.costs,
             self._needs_resolve,
             self.telemetry is not None,
         )
+        self._compiled = self._code.compiled
         return super().run(iprogram, args)
 
     # -- dispatch ------------------------------------------------------
     def _call_function(self, function, args):
-        compiled = self._table.get(function.name)
+        compiled = self._compiled.get(function.name)
         if compiled is None:
-            return super()._call_function(function, args)
+            compiled = self._code.tier_up(function)
+            if compiled is None:
+                return super()._call_function(function, args)
         if len(args) != compiled.n_params:
             raise TypeError(
                 f"{function.name} expects {compiled.n_params} args, "

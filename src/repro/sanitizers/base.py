@@ -165,7 +165,7 @@ class Sanitizer:
         )
         self.stack = StackAllocator(self.space, redzone=max(redzone, 8))
         self.globals = GlobalAllocator(self.space, redzone=max(redzone, 8))
-        self.quarantine = Quarantine(quarantine_bytes, self._evict_chunk)
+        self.quarantine = Quarantine(quarantine_bytes)
         self.log = ErrorLog(halt_on_error=halt_on_error)
         self.stats = CheckStats()
         #: Telemetry registry (:class:`repro.telemetry.Telemetry`) when a
@@ -220,7 +220,7 @@ class Sanitizer:
         self.allocator.free(address)
         self.stats.frees += 1
         self._poison_free(allocation)
-        self.quarantine.push(allocation)
+        self.quarantine.push(allocation, self._evict_chunk)
 
     def _was_freed(self, address: int) -> bool:
         for allocation in self.quarantine._queue:

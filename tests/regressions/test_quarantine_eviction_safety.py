@@ -26,11 +26,11 @@ def consistent(quarantine):
 class TestExceptionSafety:
     def test_push_eviction_hook_raises(self, allocator):
         first = make(allocator)
-        quarantine = Quarantine(first.chunk_size, self._boom)
-        quarantine.push(first)
+        quarantine = Quarantine(first.chunk_size)
+        quarantine.push(first, self._boom)
         second = make(allocator)
         with pytest.raises(RuntimeError):
-            quarantine.push(second)
+            quarantine.push(second, self._boom)
         # the failed eviction left the head in place and counters intact
         assert list(quarantine._queue) == [first, second]
         consistent(quarantine)
@@ -44,18 +44,17 @@ class TestExceptionSafety:
             if len(calls) == 3:
                 raise RuntimeError("recycler failed")
 
-        quarantine = Quarantine(1 << 20, flaky)
+        quarantine = Quarantine(1 << 20)
         for chunk in chunks:
-            quarantine.push(chunk)
+            quarantine.push(chunk, flaky)
         with pytest.raises(RuntimeError):
-            quarantine.drain()
+            quarantine.drain(flaky)
         # two were evicted, the failing third is back at the head
         assert list(quarantine._queue) == chunks[2:]
         assert quarantine.total_evicted == 2
         consistent(quarantine)
         # a retry with a healthy hook finishes the job
-        quarantine._on_evict = lambda allocation: None
-        assert quarantine.drain() == chunks[2:]
+        assert quarantine.drain(lambda allocation: None) == chunks[2:]
         assert len(quarantine) == 0
         consistent(quarantine)
 
@@ -70,10 +69,10 @@ class TestOversizedChunk:
         quarantined and instantly recycled (compiler-rt behaviour,
         paper §5.4 bypass odds)."""
         evicted_log = []
-        quarantine = Quarantine(64, evicted_log.append)
+        quarantine = Quarantine(64)
         big = make(allocator, size=4096)
         assert big.chunk_size > quarantine.budget_bytes
-        assert quarantine.push(big) == [big]
+        assert quarantine.push(big, evicted_log.append) == [big]
         assert evicted_log == [big]
         assert len(quarantine) == 0
         assert quarantine.held_bytes == 0
@@ -83,10 +82,10 @@ class TestOversizedChunk:
     def test_oversized_chunk_evicts_predecessors_first(self, allocator):
         evicted_log = []
         small = make(allocator, size=16)
-        quarantine = Quarantine(small.chunk_size, evicted_log.append)
-        quarantine.push(small)
+        quarantine = Quarantine(small.chunk_size)
+        quarantine.push(small, evicted_log.append)
         big = make(allocator, size=4096)
-        evicted = quarantine.push(big)
+        evicted = quarantine.push(big, evicted_log.append)
         # FIFO order: the small resident goes first, then the giant
         assert evicted == [small, big]
         assert len(quarantine) == 0

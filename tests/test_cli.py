@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.runtime import CompiledEngine, Interpreter
 
 
 class TestParser:
@@ -26,6 +27,34 @@ class TestParser:
 
 
 class TestExecution:
+    @pytest.mark.parametrize(
+        "env, argv, engine",
+        [
+            (None, [], CompiledEngine),
+            ("tree", [], Interpreter),
+            (None, ["--engine", "tree"], Interpreter),
+            ("tree", ["--engine", "compiled"], CompiledEngine),
+        ],
+    )
+    def test_engine_selection(self, monkeypatch, capsys, env, argv, engine):
+        """Compiled is the default; ``REPRO_ENGINE=tree`` and
+        ``--engine tree`` still reach the reference tree walker."""
+        if env is None:
+            monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_ENGINE", env)
+        engines = set()
+        tree_run = Interpreter.run
+
+        def run(self, *args, **kwargs):
+            engines.add(type(self))
+            return tree_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(Interpreter, "run", run)
+        assert main(["demo", *argv]) == 0
+        assert "heap-buffer-overflow" in capsys.readouterr().out
+        assert engines == {engine}
+
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out

@@ -21,6 +21,7 @@ from repro.runtime import (
     engine_default,
     resolve_engine,
 )
+from repro.runtime import compiler
 from repro.runtime.cost_model import DEFAULT_COST_MODEL
 from repro.workloads.spec import SPEC_TABLE2_ROWS
 
@@ -59,10 +60,12 @@ def test_resolve_engine_rejects_unknown():
 
 def test_engine_default_reads_environment(monkeypatch):
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    assert engine_default() == "tree"
-    monkeypatch.setenv("REPRO_ENGINE", "compiled")
     assert engine_default() == "compiled"
     assert resolve_engine(None) is CompiledEngine
+    monkeypatch.setenv("REPRO_ENGINE", "tree")
+    assert engine_default() == "tree"
+    assert resolve_engine(None) is Interpreter
+    assert Session("Native").engine is Interpreter
 
 
 def test_session_engine_parameter():
@@ -214,3 +217,98 @@ def test_compiled_source_is_inspectable():
     source = table["main"].source
     assert "def _cf(E, e):" in source
     assert "I += 1" in source
+
+
+# ----------------------------------------------------------------------
+# tiered codegen
+# ----------------------------------------------------------------------
+@pytest.fixture
+def tiering(monkeypatch):
+    """Record which functions the tree walker runs and which the
+    compiler lowers (``None`` entries mark declines)."""
+    log = {"walked": [], "lowered": []}
+    tree_call = Interpreter._call_function
+    lower = compiler.compile_function
+
+    def walked(engine, function, args):
+        log["walked"].append(function.name)
+        return tree_call(engine, function, args)
+
+    def lowered(function, *key):
+        compiled = lower(function, *key)
+        log["lowered"].append(function.name if compiled else None)
+        return compiled
+
+    monkeypatch.setattr(Interpreter, "_call_function", walked)
+    monkeypatch.setattr(compiler, "compile_function", lowered)
+    return log
+
+
+def _run_compiled(program, **config):
+    return Session(
+        "GiantSan", RunConfig.from_env(engine="compiled", memoize=False,
+                                       **config)
+    ).run(program)
+
+
+def test_loop_free_callee_walks_then_compiles(tiering):
+    builder = ProgramBuilder()
+    with builder.function("helper", params=["n"]) as f:
+        f.ret(Var("n") + Const(1))
+    with builder.function("main") as f:
+        first = f.call("helper", [1], dst="a")
+        second = f.call("helper", [first], dst="b")
+        f.ret(second)
+    result = _run_compiled(builder.build())
+    assert result.return_value == 3
+    assert tiering["walked"] == ["main", "helper"]
+    assert tiering["lowered"] == ["helper"]
+
+
+def test_function_with_loop_compiles_on_first_call(tiering):
+    result = _run_compiled(_simple_program())
+    assert result.return_value == 7
+    assert tiering["walked"] == []
+    assert tiering["lowered"] == ["main"]
+
+
+def test_declined_function_is_emitted_once(tiering):
+    builder = ProgramBuilder()
+    with builder.function("helper", params=["n"]) as f:
+        with f.if_(Const(1)):
+            f.assign("x", 1)
+        f.ret(Var("x") + Var("n"))
+    with builder.function("main") as f:
+        total = f.assign("total", 0)
+        with f.loop("i", 0, 5) as i:
+            got = f.call("helper", [i], dst="got")
+            f.assign("total", total + got)
+        f.ret(total)
+    result = _run_compiled(builder.build())
+    assert result.return_value == 5 + sum(range(5))
+    assert tiering["walked"] == ["helper"] * 5
+    # main on entry; helper walked once, then declined exactly once
+    assert tiering["lowered"] == ["main", None]
+
+
+def test_compile_program_reuses_lazily_compiled_functions():
+    builder = ProgramBuilder()
+    with builder.function("leaf") as f:
+        f.ret(4)
+    with builder.function("main") as f:
+        f.assign("x", 0)
+        with f.loop("i", 0, 3):
+            f.call("leaf", [], dst="x")
+        f.ret(Var("x"))
+    program = builder.build()
+    session = Session(
+        "Native", RunConfig.from_env(engine="compiled", memoize=False)
+    )
+    iprogram = session.instrument(program)
+    engine = session.engine(session.sanitizer)
+    assert engine.run(iprogram).return_value == 4
+    lazy = dict(engine._compiled)
+    assert set(lazy) == {"main", "leaf"}
+    eager = compile_program(iprogram.program, engine.costs, False, False)
+    assert eager == lazy
+    assert all(eager[name] is lazy[name] for name in lazy)

@@ -28,7 +28,7 @@ def _clean_env(monkeypatch):
 def test_defaults_without_environment():
     assert RunConfig.from_env() == RunConfig()
     assert RunConfig() == RunConfig(
-        engine="tree",
+        engine="compiled",
         fastpath=True,
         memoize=True,
         interprocedural=True,

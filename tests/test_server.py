@@ -368,7 +368,7 @@ class TestConcurrentJobIsolation:
             }
         for detail in details.values():
             assert detail["status"] == "done", detail["error"]
-        assert details[run]["result"]["config"]["engine"] == "tree"
+        assert details[run]["result"]["config"]["engine"] == "compiled"
 
         env = {
             key: value for key, value in os.environ.items()

@@ -1,9 +1,13 @@
 """Tests for the Session convenience API."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro import ProgramBuilder, Session, V, run_with_tools
-from repro.sanitizers import GiantSan
+from repro.config import RunConfig
+from repro.sanitizers import SANITIZER_FACTORIES, GiantSan
 
 
 def overflow_program():
@@ -68,3 +72,38 @@ class TestSession:
         fresh = Session("GiantSan")
         result = fresh.run(overflow_program())
         assert len(result.errors) == 1  # no leftover state
+
+
+def churn_program():
+    """Frees enough to overflow a small quarantine, then overflows."""
+    b = ProgramBuilder()
+    with b.function("main") as f:
+        with f.loop("i", 0, 8):
+            f.malloc("q", 4096)
+            f.free("q")
+        f.malloc("p", 100)
+        f.load("x", "p", 100, 4)
+        f.free("p")
+    return b.build()
+
+
+@pytest.mark.parametrize("engine", ["tree", "compiled"])
+def test_finished_session_freed_without_cyclic_gc(engine):
+    """A dropped session and its RunResult free the sanitizer (and its
+    simulated memory) by reference counting alone: nothing the run
+    builds may form a cycle back to the sanitizer."""
+    program = churn_program()
+    gc.collect()
+    gc.disable()
+    try:
+        for name in SANITIZER_FACTORIES:
+            session = Session(
+                name, RunConfig(engine=engine), quarantine_bytes=4096
+            )
+            sanitizer = weakref.ref(session.sanitizer)
+            result = session.run(program)
+            assert result.native_cycles > 0
+            del session, result
+            assert sanitizer() is None, name
+    finally:
+        gc.enable()
