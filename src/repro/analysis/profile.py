@@ -157,7 +157,7 @@ def render_profile(study: ProfileStudy) -> str:
         f"{'Program':20s} {'checks':>9s} {'fast':>9s} {'slow':>8s} "
         f"{'fast%':>6s} {'qb-hit':>9s} {'qb-upd':>7s} {'conv':>5s} "
         f"{'shadow-ld':>10s} {'quar-peak':>10s} {'redzone':>9s} "
-        f"{'sblk':>5s} {'sec':>7s}",
+        f"{'sblk':>5s} {'vec':>5s} {'sec':>7s}",
     ]
     for row in study.rows:
         snap = row.snapshot
@@ -173,6 +173,7 @@ def render_profile(study: ProfileStudy) -> str:
             f"{snap.quarantine_peak_bytes:>10d} "
             f"{counters.get('redzone_bytes_poisoned', 0):>9d} "
             f"{counters.get('superblock_loops', 0):>5d} "
+            f"{counters.get('superblock_vectorized', 0):>5d} "
             f"{row.seconds:>7.3f}"
         )
     totals = study.totals()
@@ -190,6 +191,7 @@ def render_profile(study: ProfileStudy) -> str:
         f"{max((r.snapshot.quarantine_peak_bytes for r in study.rows), default=0):>10d} "
         f"{totals.get('redzone_bytes_poisoned', 0):>9d} "
         f"{totals.get('superblock_loops', 0):>5d} "
+        f"{totals.get('superblock_vectorized', 0):>5d} "
         f"{sum(r.seconds for r in study.rows):>7.3f}"
     )
     phases = _merged_phases(study)

@@ -109,28 +109,11 @@ class _Uncompilable(Exception):
 # ----------------------------------------------------------------------
 # expression lowering
 # ----------------------------------------------------------------------
-# Same operator surface as the tree-walker's _ARITH table.  ``//`` and
-# ``%`` return 0 on a zero divisor; negative shift amounts raise
-# ValueError in both engines (plain Python semantics), so shifts need no
-# fastpath-style constant restriction here.
-_BIN_TEMPLATES = {
-    "+": "({} + {})",
-    "-": "({} - {})",
-    "*": "({} * {})",
-    "//": "_div({}, {})",
-    "%": "_mod({}, {})",
-    "<<": "({} << {})",
-    ">>": "({} >> {})",
-    "&": "({} & {})",
-    "|": "({} | {})",
-    "^": "({} ^ {})",
-    "<": "int({} < {})",
-    "<=": "int({} <= {})",
-    ">": "int({} > {})",
-    ">=": "int({} >= {})",
-    "==": "int({} == {})",
-    "!=": "int({} != {})",
-}
+# Same operator surface as the tree-walker's _ARITH table (the fast
+# path's templates).  ``//`` and ``%`` return 0 on a zero divisor;
+# negative shift amounts raise ValueError in both engines (plain Python
+# semantics), so shifts need no fastpath-style constant restriction here.
+_BIN_TEMPLATES = _fastpath._BIN_TEMPLATES
 
 _COMPARISONS = ("<", "<=", ">", ">=", "==", "!=")
 

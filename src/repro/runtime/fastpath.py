@@ -26,11 +26,26 @@ every edge case runs through the reference implementation):
 2. **Fold** — the sanitizer's ``fold_*_checks`` hooks decide, without
    mutating anything, that every per-iteration check passes and return
    the exact stat deltas (see :mod:`repro.sanitizers.base`).
-3. **Run + charge** — a compiled Python closure performs the real loads
-   and stores in program order directly on the address-space buffer,
-   and native cycles / instruction counts / CheckStats / Figure 10
-   categories are charged arithmetically (count × per-iteration
-   events), matching the tree-walker to the last counter.
+3. **Run + charge** — one of two compiled closures performs the real
+   loads and stores directly on the address-space buffer, and native
+   cycles / instruction counts / CheckStats / Figure 10 categories are
+   charged arithmetically (count × per-iteration events), matching the
+   tree-walker to the last counter.
+
+   * The **statement-major** runner executes each body statement once
+     over all iterations: a ``Load`` is one strided ``memoryview``
+     slice read into a list, an ``Assign`` one list comprehension, a
+     ``Store`` one masked ``array`` slice assignment, and a ``+``
+     reduction one ``sum``.  It runs when no register value flows from
+     one iteration to the next (checked statically) and no byte is
+     written by one iteration and touched by another (checked per
+     entry from the sites' byte steps and covering ranges).
+   * The **scalar** runner executes the body once per iteration in
+     program order, one ``struct`` call per load and store.  It runs
+     every loop-carried recurrence and every overlapping or strided
+     shape the statement-major runner refuses.
+
+   Each runner compiles on the first call that takes it.
 
 Set ``REPRO_FASTPATH=0`` to disable globally (the differential test
 suite runs every proxy both ways and asserts identical results).
@@ -43,7 +58,9 @@ per-segment walk.
 
 from __future__ import annotations
 
-import struct
+import sys
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -63,6 +80,7 @@ from ..ir.nodes import (
     Store,
     Var,
 )
+from ..memory.address_space import CODEC_BY_WIDTH
 from ..passes.constprop import assigned_vars
 from ..passes.loop_bounds import affine_of
 from ..sanitizers.base import FoldResult
@@ -74,6 +92,15 @@ _PLAN_ATTR = "_fastpath_plan"
 #: setup cost (invariant evaluation, folding, closure entry) only pays
 #: off once several iterations are amortized over it.
 MIN_TRIP_COUNT = 4
+
+#: ``memoryview`` cast format per access width.  Casts use the host's
+#: byte order, so the statement-major runner exists only where that is
+#: little-endian (the simulated memory's order) and the native item
+#: sizes match the access widths.
+_CAST_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_STATEMENT_MAJOR = sys.byteorder == "little" and all(
+    array(fmt).itemsize == width for width, fmt in _CAST_FORMATS.items()
+)
 
 
 def fastpath_enabled_default() -> bool:
@@ -114,6 +141,10 @@ def _mod(a: int, b: int) -> int:
 
 class _Ineligible(Exception):
     """Internal signal: this loop cannot take the fast path."""
+
+
+class _LoopCarried(Exception):
+    """Internal signal: a register value flows between iterations."""
 
 
 class _Namer:
@@ -163,6 +194,7 @@ class _MemSite:
     coefficient: int
     offset_expr: Expr  # loop-invariant part, evaluated once per entry
     width: int
+    store: bool
 
 
 @dataclass
@@ -204,8 +236,26 @@ class LoopPlan:
     protection_per_iter: Dict[str, int] = field(default_factory=dict)
     #: Variables the closure reads from ``env`` before the first write.
     preload: List[str] = field(default_factory=list)
-    runner: Callable = None
+    #: Source of the scalar (one iteration at a time) runner.
     source: str = ""
+    #: Source of the statement-major runner, or None when
+    #: ``major_decline`` names why this body cannot run that way.
+    major_source: Optional[str] = None
+    major_decline: Optional[str] = None
+    _scalar: Optional[Callable] = field(default=None, repr=False)
+    _major: Optional[Callable] = field(default=None, repr=False)
+
+    def scalar_runner(self) -> Callable:
+        """``runner(env, values, mem)``, compiled on first use."""
+        if self._scalar is None:
+            self._scalar = _compile(self.source, "_superblock")
+        return self._scalar
+
+    def major_runner(self) -> Callable:
+        """``runner(env, values, mem, spans)``, compiled on first use."""
+        if self._major is None:
+            self._major = _compile(self.major_source, "_statement_major")
+        return self._major
 
 
 def _classify(protection: Protection) -> Optional[str]:
@@ -255,8 +305,10 @@ def _analyze(loop: Loop) -> LoopPlan:
     lines: List[str] = []
     written = {loop.var}
     preload: List[str] = []
+    reads: Counter = Counter()  # every variable read in the body
 
     def note_reads(names: List[str]) -> None:
+        reads.update(names)
         for name in names:
             if name not in written and name not in preload:
                 preload.append(name)
@@ -276,23 +328,29 @@ def _analyze(loop: Loop) -> LoopPlan:
         if kind is Compute:
             plan.compute_cycles += instr.cycles
         elif kind is Assign:
-            reads: List[str] = []
-            code = _emit(instr.expr, namer, reads)
-            note_reads(reads)
+            names: List[str] = []
+            code = _emit(instr.expr, namer, names)
+            note_reads(names)
             lines.append(f"{namer.local(instr.dst)} = {code}")
             written.add(instr.dst)
             plan.arith_count += 1
         elif kind is Load or kind is Store:
-            if instr.width not in (1, 2, 4, 8):
+            if instr.width not in CODEC_BY_WIDTH:
                 raise _Ineligible("unsupported width")
             invariant_base(instr.base)
             site = affine(instr.offset)
-            reads = []
-            offset_code = _emit(instr.offset, namer, reads)
-            note_reads(reads + [instr.base])
+            names = []
+            offset_code = _emit(instr.offset, namer, names)
+            note_reads(names + [instr.base])
             address = f"({namer.local(instr.base)} + {offset_code})"
             plan.mem_sites.append(
-                _MemSite(instr.base, site.coefficient, site.offset, instr.width)
+                _MemSite(
+                    instr.base,
+                    site.coefficient,
+                    site.offset,
+                    instr.width,
+                    kind is Store,
+                )
             )
             category = _classify(instr.protection)
             if category:
@@ -307,9 +365,9 @@ def _analyze(loop: Loop) -> LoopPlan:
                 )
                 written.add(instr.dst)
             else:
-                reads = []
-                value_code = _emit(instr.value, namer, reads)
-                note_reads(reads)
+                names = []
+                value_code = _emit(instr.value, namer, names)
+                note_reads(names)
                 mask = (1 << (8 * instr.width)) - 1
                 lines.append(
                     f"_p{instr.width}(mem, {address}, {value_code} & {mask})"
@@ -347,39 +405,169 @@ def _analyze(loop: Loop) -> LoopPlan:
             raise _Ineligible(kind.__name__)
 
     plan.preload = preload
-    plan.source, plan.runner = _compile(
-        loop, namer, loop_local, preload, lines, written
+    source = ["def _superblock(env, values, mem):"]
+    source.extend(f"    {namer.local(name)} = env[{name!r}]" for name in preload)
+    source.append(f"    for {loop_local} in values:")
+    source.extend(f"        {line}" for line in lines or ["pass"])
+    source.extend(
+        f"    env[{name!r}] = {namer.local(name)}" for name in sorted(written)
     )
+    plan.source = "\n".join(source)
+    if not _STATEMENT_MAJOR:
+        plan.major_decline = "byte_order"
+    else:
+        try:
+            plan.major_source = _statement_major_source(
+                loop, namer, preload, written, reads
+            )
+        except _LoopCarried:
+            plan.major_decline = "loop_carried"
     return plan
 
 
-def _compile(
+def _reduction_term(instr: Assign, reads: Counter) -> Optional[Expr]:
+    """``e`` when ``instr`` is ``acc = acc + e`` (either operand order)
+    and ``acc`` is read nowhere else in the body; otherwise None."""
+    expr = instr.expr
+    if type(expr) is not BinOp or expr.op != "+" or reads[instr.dst] != 1:
+        return None
+    for own, term in ((expr.left, expr.right), (expr.right, expr.left)):
+        if type(own) is Var and own.name == instr.dst:
+            return term
+    return None
+
+
+def _statement_major_source(
     loop: Loop,
     namer: _Namer,
-    loop_local: str,
     preload: List[str],
-    lines: List[str],
     written: set,
-) -> Tuple[str, Callable]:
-    """Assemble and compile the superblock closure."""
-    source = ["def _superblock(env, values, mem):"]
-    for name in preload:
-        source.append(f"    {namer.local(name)} = env[{name!r}]")
-    source.append(f"    for {loop_local} in values:")
-    if lines:
+    reads: Counter,
+) -> str:
+    """Source of the runner that executes each statement over all
+    iterations at once.
+
+    A body-written variable holds one list of per-iteration values (or
+    one value, when its expression is loop-invariant), so every read of
+    it must follow its write in the same iteration and it may be
+    written only once; anything else raises :class:`_LoopCarried`.  The
+    one allowed recurrence is a ``+`` reduction (see
+    :func:`_reduction_term`), which becomes ``acc + sum(e)``.  Memory
+    sites read and write through the ``spans`` ``try_execute`` has
+    already proven free of cross-iteration overlap.  ``written`` and
+    ``reads`` come from :func:`_analyze`: every variable the body
+    writes, and how many times the body reads each variable.
+    """
+    varying = {loop.var}  # names holding a list of per-iteration values
+    defined = {loop.var}  # written names already written this iteration
+    lines: List[str] = []
+    site = 0
+
+    def listed(name: str) -> str:
+        return "l" + namer.local(name)[1:]
+
+    def values_of(expr: Expr, element: str = "{}") -> Tuple[str, bool]:
+        """(source, per_iteration): a list comprehension over the
+        varying operands, or one invariant value."""
+        names: List[str] = []
+        code = element.format(_emit(expr, namer, names))
+        for name in names:
+            if name in written and name not in defined:
+                raise _LoopCarried(name)
+        lists = list(dict.fromkeys(n for n in names if n in varying))
+        if not lists:
+            return code, False
+        if element == "{}" and type(expr) is Var:
+            return listed(expr.name), True
+        targets = ", ".join(namer.local(name) for name in lists)
+        sources = ", ".join(listed(name) for name in lists)
+        if len(lists) > 1:
+            sources = f"zip({sources})"
+        return f"[{code} for {targets} in {sources}]", True
+
+    def define(name: str) -> None:
+        if name in defined:
+            raise _LoopCarried(name)
+        defined.add(name)
+
+    for instr in loop.body:
+        kind = type(instr)
+        if kind is Assign:
+            term = _reduction_term(instr, reads)
+            local = namer.local(instr.dst)
+            if term is not None:
+                values, per_iteration = values_of(term)
+                total = f"sum({values})" if per_iteration else f"{values} * n"
+                lines.append(f"{local} = {local} + {total}")
+            else:
+                values, per_iteration = values_of(instr.expr)
+                if per_iteration:
+                    varying.add(instr.dst)
+                    local = listed(instr.dst)
+                lines.append(f"{local} = {values}")
+            define(instr.dst)
+        elif kind is Load:
+            fmt = _CAST_FORMATS[instr.width]
+            lines.append(f"{listed(instr.dst)} = _read(m, s[{site}], {fmt!r})")
+            varying.add(instr.dst)
+            define(instr.dst)
+            site += 1
+        elif kind is Store:
+            fmt = _CAST_FORMATS[instr.width]
+            mask = (1 << (8 * instr.width)) - 1
+            values, per_iteration = values_of(instr.value, f"{{}} & {mask}")
+            if not per_iteration:
+                values = f"[{values}] * n"
+            lines.append(f"_write(m, s[{site}], {fmt!r}, {values})")
+            site += 1
+
+    source = ["def _statement_major(env, values, mem, s):", "    n = len(values)"]
+    source.extend(f"    {namer.local(name)} = env[{name!r}]" for name in preload)
+    source.append(f"    {listed(loop.var)} = values")
+    if site:
+        source.append("    with memoryview(mem) as m:")
         source.extend(f"        {line}" for line in lines)
     else:
-        source.append("        pass")
+        source.extend(f"    {line}" for line in lines)
     for name in sorted(written):
-        source.append(f"    env[{name!r}] = {namer.local(name)}")
-    text = "\n".join(source)
-    namespace = {"_div": _div, "_mod": _mod}
-    for width, fmt in ((1, "<B"), (2, "<H"), (4, "<I"), (8, "<Q")):
-        packer = struct.Struct(fmt)
-        namespace[f"_u{width}"] = packer.unpack_from
-        namespace[f"_p{width}"] = packer.pack_into
+        final = f"{listed(name)}[-1]" if name in varying else namer.local(name)
+        source.append(f"    env[{name!r}] = {final}")
+    return "\n".join(source)
+
+
+def _read(whole: memoryview, span: Tuple[int, int, int], fmt: str) -> List[int]:
+    """One load site's value for every iteration, in iteration order."""
+    lo, end, step = span
+    with whole[lo:end] as raw, raw.cast(fmt) as cells, cells[::step] as strided:
+        return strided.tolist()
+
+
+def _write(
+    whole: memoryview, span: Tuple[int, int, int], fmt: str, values: List[int]
+) -> None:
+    """Store one site's (already masked) value for every iteration."""
+    lo, end, step = span
+    with whole[lo:end] as raw, raw.cast(fmt) as cells:
+        cells[::step] = array(fmt, values)
+
+
+#: Names every runner's source may refer to.
+_NAMESPACE: Dict[str, object] = {
+    "_div": _div,
+    "_mod": _mod,
+    "_read": _read,
+    "_write": _write,
+}
+for _width, _codec in CODEC_BY_WIDTH.items():
+    _NAMESPACE[f"_u{_width}"] = _codec.unpack_from
+    _NAMESPACE[f"_p{_width}"] = _codec.pack_into
+
+
+def _compile(text: str, name: str) -> Callable:
+    """Compile one runner's source and return the function ``name``."""
+    namespace = dict(_NAMESPACE)
     exec(compile(text, "<fastpath>", "exec"), namespace)  # noqa: S102
-    return text, namespace["_superblock"]
+    return namespace[name]
 
 
 # ----------------------------------------------------------------------
@@ -393,6 +581,43 @@ def _declined(interpreter, reason: str) -> bool:
     return False
 
 
+def _order_decline(
+    mem_sites: List[_MemSite], sites: List[Tuple[int, int, int, int]]
+) -> Optional[str]:
+    """Why these addresses rule out statement-major order, or None.
+
+    ``sites`` holds each memory site's ``(start, step, lo, end)``: its
+    first address, byte step per iteration, and covering range.  Each
+    step must be a nonzero multiple of the site's width (one strided
+    slice that never hits the same cell twice).  No byte may be written
+    by one iteration and touched by another: either every store site's
+    covering range is disjoint from every other site's, or all sites
+    share one step and each iteration's accesses fit in one window of
+    that many bytes (an in-place read-modify-write of one record).
+    """
+    for site, (_, step, _, _) in zip(mem_sites, sites):
+        if not step or step % site.width:
+            return "stride"
+    overlapping = any(
+        lo < other_end and other_lo < end
+        for index, (site, (_, _, lo, end)) in enumerate(zip(mem_sites, sites))
+        if site.store
+        for other, (_, _, other_lo, other_end) in enumerate(sites)
+        if other != index
+    )
+    if not overlapping:
+        return None
+    step = sites[0][1]
+    if all(other_step == step for _, other_step, _, _ in sites):
+        low = min(start for start, _, _, _ in sites)
+        high = max(
+            start + site.width for site, (start, _, _, _) in zip(mem_sites, sites)
+        )
+        if high - low <= abs(step):
+            return None
+    return "aliasing"
+
+
 def try_execute(interpreter, loop: Loop, values: range, env: Dict[str, int]) -> bool:
     """Run ``loop`` as a superblock if possible; False means fall back.
 
@@ -400,7 +625,9 @@ def try_execute(interpreter, loop: Loop, values: range, env: Dict[str, int]) -> 
     first state mutation, so the tree walker can take over cleanly.
     When the interpreter carries a telemetry registry, every decline is
     counted by reason (the wiring-regression signal `repro profile`
-    surfaces); the disabled path adds no work beyond the decline itself.
+    surfaces), and so is every fall back from the statement-major to
+    the scalar runner; the disabled path adds no work beyond the
+    decline itself.
     """
     count = len(values)
     if count < MIN_TRIP_COUNT:
@@ -423,7 +650,7 @@ def try_execute(interpreter, loop: Loop, values: range, env: Dict[str, int]) -> 
     sanitizer = interpreter.san
     space = sanitizer.space
     total_size = space.layout.total_size
-    first, last, stride = values[0], values[-1], values.step
+    first, stride = values[0], values.step
 
     evaluated: Dict[int, int] = {}
 
@@ -435,17 +662,21 @@ def try_execute(interpreter, loop: Loop, values: range, env: Dict[str, int]) -> 
             evaluated[key] = value
         return value
 
+    sites: List[Tuple[int, int, int, int]] = []
     try:
         for site in plan.mem_sites:
-            base = env[site.base]
-            offset = invariant(site.offset_expr)
-            lo = base + site.coefficient * first + offset
-            hi = base + site.coefficient * last + offset
-            if lo > hi:
-                lo, hi = hi, lo
+            start = (
+                env[site.base]
+                + site.coefficient * first
+                + invariant(site.offset_expr)
+            )
+            step = site.coefficient * stride
+            last = start + step * (count - 1)
+            lo, hi = (start, last) if step >= 0 else (last, start)
             if lo < 0 or hi + site.width > total_size:
                 # reference path records hardware faults
                 return _declined(interpreter, "address_out_of_range")
+            sites.append((start, step, lo, hi + site.width))
 
         folded = FoldResult()
         for check in plan.access_checks:
@@ -488,7 +719,20 @@ def try_execute(interpreter, loop: Loop, values: range, env: Dict[str, int]) -> 
         # undefined variable: reference path raises it
         return _declined(interpreter, "unbound_variable")
 
-    plan.runner(env, values, space._mem)
+    reason = plan.major_decline or _order_decline(plan.mem_sites, sites)
+    tele = interpreter.telemetry
+    if reason is None:
+        spans = [
+            (lo, end, step // site.width)
+            for site, (_, step, lo, end) in zip(plan.mem_sites, sites)
+        ]
+        plan.major_runner()(env, values, space._mem, spans)
+        if tele is not None:
+            tele.incr("superblock_vectorized")
+    else:
+        if tele is not None:
+            tele.note_superblock_decline(reason)
+        plan.scalar_runner()(env, values, space._mem)
 
     interpreter.instructions += count * plan.body_len
     costs = interpreter.costs
