@@ -8,16 +8,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..config import RunConfig
 from ..runtime import Session
-from ..workloads.juliet import (
-    JulietCase,
-    TABLE3_CWES,
-    generate_juliet_suite,  # noqa: F401  (re-exported study surface)
-    juliet_suite_cached,
-)
+from ..workloads.juliet import JulietCase, juliet_suite_cached
 from ..workloads.linux_flaw import CveScenario, TABLE4_SCENARIOS
 from ..workloads.magma import (
     TABLE5_CONFIGS,
@@ -27,6 +22,9 @@ from ..workloads.magma import (
 
 #: Tool columns of Tables 3 and 4.
 DETECTION_TOOLS = ["GiantSan", "ASan", "ASan--", "LFP"]
+
+#: Juliet cases per inline slice: 128 runs, about 0.1 s between checkpoints.
+JULIET_SPAN_CASES = 32
 
 
 def detects(tool: str, program, config: RunConfig, **sanitizer_kwargs) -> bool:
@@ -73,56 +71,53 @@ def run_juliet_study(
     cases: Optional[List[JulietCase]] = None,
     jobs: int = 1,
     config: Optional[RunConfig] = None,
+    checkpoint: Optional[Callable] = None,
 ) -> JulietResults:
     """Run every Juliet case under every tool (Table 3).
 
-    ``jobs > 1`` splits the generated suite into contiguous slices and
-    aggregates the per-case outcomes in case order, so results match the
-    sequential run exactly.  Explicit ``cases`` always run inline (the
-    workers regenerate the canonical suite by index).
+    The suite runs in contiguous slices (:func:`case_spans`) whose
+    per-case outcomes merge in case order, so results match for any
+    ``jobs``.  Explicit ``cases`` travel as objects and run inline (the
+    workers regenerate only the canonical suite).
     """
+    from .parallel import case_spans, juliet_worker, parallel_map
+
     config = RunConfig.from_env() if config is None else config
     tools = tools or DETECTION_TOOLS
-    use_parallel = jobs > 1 and cases is None
-    cases = cases if cases is not None else juliet_suite_cached()
+    canonical = cases is None
+    if canonical:
+        cases = juliet_suite_cached()
+    else:
+        jobs = 1
+    spans = case_spans(len(cases), jobs, JULIET_SPAN_CASES)
+    payloads = [
+        ((lo, hi) if canonical else cases[lo:hi], tools, config)
+        for lo, hi in spans
+    ]
+    rows = [
+        row
+        for part in parallel_map(
+            juliet_worker,
+            payloads,
+            jobs,
+            shard_keys=[("juliet", lo) for lo, _ in spans],
+            checkpoint=checkpoint,
+        )
+        for row in part
+    ]
     detected: Dict[str, Dict[str, int]] = {t: defaultdict(int) for t in tools}
     totals: Dict[str, int] = defaultdict(int)
     latent: Dict[str, int] = defaultdict(int)
     false_positives: Dict[str, int] = {t: 0 for t in tools}
-    if use_parallel:
-        from .parallel import juliet_worker, parallel_map, steal_spans
-
-        # finer-grained than one span per worker so stealing can rescue
-        # a straggling slice; case-index keyed results keep the merge
-        # byte-identical to the sequential run for any granularity
-        payloads = [
-            (lo, hi, tools, config)
-            for lo, hi in steal_spans(len(cases), jobs)
-        ]
-        outcomes: Dict[int, Dict[str, bool]] = {}
-        for slice_outcomes in parallel_map(
-            juliet_worker,
-            payloads,
-            jobs,
-            shard_keys=[("juliet", payload[0]) for payload in payloads],
-        ):
-            for index, row in slice_outcomes:
-                outcomes[index] = row
-        errored = lambda case_index, tool: outcomes[case_index][tool]
-    else:
-        errored = lambda case_index, tool: detects(
-            tool, cases[case_index].program, config
-        )
-    for case_index, case in enumerate(cases):
+    for case, row in zip(cases, rows):
         if case.buggy:
             totals[case.cwe] += 1
             if case.latent:
                 latent[case.cwe] += 1
         for tool in tools:
-            has_errors = errored(case_index, tool)
-            if case.buggy and has_errors:
+            if case.buggy and row[tool]:
                 detected[tool][case.cwe] += 1
-            elif not case.buggy and has_errors:
+            elif not case.buggy and row[tool]:
                 false_positives[tool] += 1
     return JulietResults(
         detected={t: dict(d) for t, d in detected.items()},
@@ -150,29 +145,28 @@ def run_linux_flaw_study(
     scenarios: Optional[List[CveScenario]] = None,
     jobs: int = 1,
     config: Optional[RunConfig] = None,
+    checkpoint: Optional[Callable] = None,
 ) -> CveResults:
-    """Run every CVE scenario under every tool (Table 4)."""
+    """Run every CVE scenario under every tool (Table 4).
+
+    Explicit ``scenarios`` travel as objects and run inline."""
+    from .parallel import linux_flaw_worker, parallel_map
+
     config = RunConfig.from_env() if config is None else config
     tools = tools or DETECTION_TOOLS
-    use_parallel = jobs > 1 and scenarios is None
-    scenarios = scenarios if scenarios is not None else TABLE4_SCENARIOS
-    outcomes: Dict[str, Dict[str, bool]] = {}
-    if use_parallel:
-        from .parallel import linux_flaw_worker, parallel_map
-
-        payloads = [
-            (index, tools, config) for index in range(len(scenarios))
-        ]
-        for cve_id, row in parallel_map(
+    if scenarios is None:
+        scenarios, refs = TABLE4_SCENARIOS, range(len(TABLE4_SCENARIOS))
+    else:
+        refs, jobs = scenarios, 1
+    outcomes = dict(
+        parallel_map(
             linux_flaw_worker,
-            payloads,
+            [(ref, tools, config) for ref in refs],
             jobs,
             shard_keys=[("cve", index) for index in range(len(scenarios))],
-        ):
-            outcomes[cve_id] = row
-        return CveResults(outcomes=outcomes, scenarios=list(scenarios))
-    for scenario in scenarios:
-        outcomes[scenario.cve_id] = scenario_row(scenario, tools, config)
+            checkpoint=checkpoint,
+        )
+    )
     return CveResults(outcomes=outcomes, scenarios=list(scenarios))
 
 
@@ -188,32 +182,29 @@ class MagmaResults:
 
 
 def run_magma_study(
-    projects=None, jobs: int = 1, config: Optional[RunConfig] = None
+    projects=None,
+    jobs: int = 1,
+    config: Optional[RunConfig] = None,
+    checkpoint: Optional[Callable] = None,
 ) -> MagmaResults:
-    """Run the Magma corpora under the five redzone configurations."""
-    config = RunConfig.from_env() if config is None else config
-    use_parallel = jobs > 1 and projects is None
-    projects = projects if projects is not None else TABLE5_PROJECTS
-    if use_parallel:
-        from .parallel import magma_worker, parallel_map
+    """Run the Magma corpora under the five redzone configurations.
 
-        payloads = [(index, config) for index in range(len(projects))]
-        detected = {}
-        totals = {}
-        for name, per_config, total in parallel_map(
-            magma_worker,
-            payloads,
-            jobs,
-            shard_keys=[
-                ("magma", project.name) for project in projects
-            ],
-        ):
-            detected[name] = per_config
-            totals[name] = total
-        return MagmaResults(detected=detected, totals=totals)
-    detected: Dict[str, Dict[str, int]] = {}
-    totals: Dict[str, int] = {}
-    for project in projects:
-        totals[project.name] = project.total
-        detected[project.name] = project_counts(project, config)
-    return MagmaResults(detected=detected, totals=totals)
+    Explicit ``projects`` travel as objects and run inline."""
+    from .parallel import magma_worker, parallel_map
+
+    config = RunConfig.from_env() if config is None else config
+    if projects is None:
+        projects, refs = TABLE5_PROJECTS, range(len(TABLE5_PROJECTS))
+    else:
+        refs, jobs = projects, 1
+    rows = parallel_map(
+        magma_worker,
+        [(ref, config) for ref in refs],
+        jobs,
+        shard_keys=[("magma", project.name) for project in projects],
+        checkpoint=checkpoint,
+    )
+    return MagmaResults(
+        detected={name: counts for name, counts, _ in rows},
+        totals={name: total for name, _, total in rows},
+    )

@@ -33,6 +33,13 @@ Work units are dispatched *by reference* (``module:qualname`` of a
 module-level worker function) plus a small picklable payload, exactly
 like the old pool — workers rebuild programs locally from the canonical
 registries, so nothing heavyweight ever crosses the pipe.
+
+A map runs to completion once started: the fabric has no hook inside
+a map.  Callers that must stop early (the server's cancel) get a
+checkpoint from :func:`repro.analysis.parallel.parallel_map`, which
+splits the payloads into batches and runs the checkpoint only between
+two maps, when no unit is in flight — so stopping never abandons a unit
+and the fabric stays reusable.
 """
 
 from __future__ import annotations

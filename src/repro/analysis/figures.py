@@ -9,7 +9,7 @@ Native / GiantSan / ASan over growing buffers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..config import RunConfig
 from ..runtime import DEFAULT_COST_MODEL, CostModel, Session
@@ -93,24 +93,20 @@ def run_figure10_study(
     scale: Optional[int] = None,
     jobs: int = 1,
     config: Optional[RunConfig] = None,
+    checkpoint: Optional[Callable] = None,
 ) -> List[CheckBreakdown]:
-    from ..workloads.spec import SPEC_BY_NAME
-    from .parallel import figure10_worker, parallel_map
+    from .parallel import figure10_worker, parallel_map, spec_refs
 
     config = RunConfig.from_env() if config is None else config
     programs = programs or SPEC_TABLE2_ROWS
-    if jobs > 1 and all(
-        SPEC_BY_NAME.get(spec.name) is spec for spec in programs
-    ):
-        return parallel_map(
-            figure10_worker,
-            [(spec.name, scale, config) for spec in programs],
-            jobs,
-            shard_keys=[spec.name for spec in programs],
-        )
-    return [
-        measure_check_breakdown(spec, scale, config) for spec in programs
-    ]
+    refs, jobs = spec_refs(programs, jobs)
+    return parallel_map(
+        figure10_worker,
+        [(ref, scale, config) for ref in refs],
+        jobs,
+        shard_keys=[spec.name for spec in programs],
+        checkpoint=checkpoint,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -164,6 +160,7 @@ def run_figure11_study(
     cost_model: CostModel = DEFAULT_COST_MODEL,
     jobs: int = 1,
     config: Optional[RunConfig] = None,
+    checkpoint: Optional[Callable] = None,
 ) -> TraversalStudy:
     """The three traversal patterns over the buffer-size sweep."""
     from .parallel import figure11_worker, parallel_map
@@ -176,11 +173,12 @@ def run_figure11_study(
         for size in sizes
     ]
     study = TraversalStudy()
-    shard_keys = [
-        ("fig11", payload[0]) for payload in payloads
-    ]
     for points in parallel_map(
-        figure11_worker, payloads, jobs, shard_keys=shard_keys
+        figure11_worker,
+        payloads,
+        jobs,
+        shard_keys=[("fig11", payload[0]) for payload in payloads],
+        checkpoint=checkpoint,
     ):
         study.points.extend(points)
     return study

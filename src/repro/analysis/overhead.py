@@ -8,7 +8,7 @@ the geometric mean exactly as the paper does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..config import RunConfig
 from ..runtime import DEFAULT_COST_MODEL, CostModel, RunResult, Session
@@ -88,40 +88,29 @@ def run_overhead_study(
     cost_model: CostModel = DEFAULT_COST_MODEL,
     jobs: int = 1,
     config: Optional[RunConfig] = None,
+    checkpoint: Optional[Callable] = None,
 ) -> OverheadStudy:
     """The full Table 2 sweep (24 programs by default).
 
     ``jobs > 1`` fans the per-program rows out across worker processes
     (row order and values are identical to the sequential run); custom
     ``programs`` outside the canonical registry always run inline.
-    ``config`` (None = the process default) travels in every unit.
+    ``config`` (None = the process default) travels in every unit;
+    ``checkpoint`` is :func:`~repro.analysis.parallel.parallel_map`'s.
     """
-    from ..workloads.spec import SPEC_BY_NAME
-    from .parallel import overhead_worker, parallel_map
+    from .parallel import overhead_worker, parallel_map, spec_refs
 
     config = RunConfig.from_env() if config is None else config
     tools = tools or PERFORMANCE_TOOLS
     programs = programs or SPEC_TABLE2_ROWS
-    if jobs > 1 and all(
-        SPEC_BY_NAME.get(spec.name) is spec for spec in programs
-    ):
-        rows = parallel_map(
-            overhead_worker,
-            [
-                (spec.name, tools, scale, cost_model, config)
-                for spec in programs
-            ],
-            jobs,
-            # shard by program: consecutive tables touching the same
-            # proxy land on the same warm fabric worker
-            shard_keys=[spec.name for spec in programs],
-        )
-    else:
-        rows = [
-            measure_program(
-                spec, tools, scale=scale, cost_model=cost_model,
-                config=config,
-            )
-            for spec in programs
-        ]
+    refs, jobs = spec_refs(programs, jobs)
+    rows = parallel_map(
+        overhead_worker,
+        [(ref, tools, scale, cost_model, config) for ref in refs],
+        jobs,
+        # shard by program: consecutive tables touching the same proxy
+        # land on the same warm fabric worker
+        shard_keys=[spec.name for spec in programs],
+        checkpoint=checkpoint,
+    )
     return OverheadStudy(rows=rows, tools=tools)

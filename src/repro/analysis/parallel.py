@@ -14,10 +14,14 @@ keeps payloads tiny and sidesteps pickling closures.  Results travel
 back as plain dataclasses (RunResult, CheckStats, ErrorLog), pickled by
 the worker and sent over the fabric's event queue.
 
-Callers pass ``jobs``: ``1`` (the default everywhere) runs inline with
-no multiprocessing machinery at all; anything larger uses the shared
-fabric.  Custom program lists that are not in the canonical registries
-fall back to inline execution since workers cannot rebuild them.
+Callers pass ``jobs`` (``1..MAX_JOBS``): ``1`` (the default everywhere)
+runs inline with no multiprocessing machinery at all; anything larger
+uses the shared fabric.  Custom item lists outside the registries travel
+as objects and run inline, since workers cannot rebuild them.
+
+A ``checkpoint`` runs only between batches, when no unit is in flight:
+before each payload inline, every ``jobs * 2`` units on the fabric, and
+after the last.  One that raises (a server cancel) abandons no unit.
 
 The fabric persists across ``parallel_map`` calls — consecutive tables
 of one sweep invocation reuse warm workers (and their instrumentation
@@ -34,12 +38,20 @@ from __future__ import annotations
 import atexit
 import os
 import threading
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import (
+    TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, TypeVar,
+)
 
-from .fabric import DrainReport, ExecutionFabric
+if TYPE_CHECKING:  # the fabric (and multiprocessing) loads on first map
+    from .fabric import DrainReport, ExecutionFabric
 
 T = TypeVar("T")
 U = TypeVar("U")
+
+#: The most fabric workers one map may ask for: the bound on the CLI's
+#: ``--jobs`` and on the server's ``worker_cap``.  Every worker is a
+#: forked process, so an unchecked count could exhaust the host.
+MAX_JOBS = 64
 
 #: The shared fabric.  One ``repro`` sweep invocation runs many tables
 #: back to back; recreating workers per table paid fork + cold caches
@@ -111,6 +123,8 @@ def _shared_fabric(processes: int) -> ExecutionFabric:
     ):
         return _FABRIC
     drain_pool()
+    from .fabric import ExecutionFabric
+
     _FABRIC = ExecutionFabric(processes)
     return _FABRIC
 
@@ -135,6 +149,7 @@ def parallel_map(
     payloads: Sequence[T],
     jobs: Optional[int],
     shard_keys: Optional[Sequence] = None,
+    checkpoint: Optional[Callable[[List[U], int], None]] = None,
 ) -> List[U]:
     """Ordered map over ``payloads`` with up to ``jobs`` fabric workers.
 
@@ -147,18 +162,37 @@ def parallel_map(
     units to home workers so repeated sweeps reuse warm per-worker
     caches; idle workers steal from the largest remaining shard.  When
     omitted, units round-robin by index.
+
+    ``checkpoint(done, total)`` — ``done`` the results so far, in
+    submission order — runs only between batches, when no unit is in
+    flight (module doc).  Whatever it raises propagates unchanged.
     """
     payloads = list(payloads)
+    total = len(payloads)
     jobs = max(int(jobs or 1), 1)
-    if jobs == 1 or len(payloads) <= 1:
-        return [worker(payload) for payload in payloads]
-    # One map at a time: the fabric's dispatch state is a single
-    # conversation, and the server runs parallel_map from several job
-    # threads concurrently.
-    with _FABRIC_LOCK:
-        return _shared_fabric(jobs).map(
-            worker, payloads, shard_keys=shard_keys
-        )
+    keys = list(range(total)) if shard_keys is None else list(shard_keys)
+    inline = jobs == 1 or total <= 1
+    # without a checkpoint the fabric gets every unit in one map
+    batch = 1 if inline else jobs * 2 if checkpoint else total
+    checkpoint = checkpoint or (lambda done, total: None)
+    results: List[U] = []
+    for start in range(0, total, batch):
+        checkpoint(results, total)
+        if inline:
+            results.append(worker(payloads[start]))
+            continue
+        part = slice(start, start + batch)
+        # One map at a time: the fabric's dispatch state is a single
+        # conversation, and the server runs parallel_map from several
+        # job threads concurrently.
+        with _FABRIC_LOCK:
+            results.extend(
+                _shared_fabric(jobs).map(
+                    worker, payloads[part], shard_keys=keys[part]
+                )
+            )
+    checkpoint(results, total)
+    return results
 
 
 def chunk_ranges(total: int, jobs: int) -> List[tuple]:
@@ -188,37 +222,65 @@ def steal_spans(total: int, jobs: int) -> List[tuple]:
     ``jobs <= 1`` degrades to a single span (the inline path).
     """
     jobs = max(int(jobs or 1), 1)
-    if jobs == 1:
-        return chunk_ranges(total, 1)
-    return chunk_ranges(total, jobs * STEAL_GRANULARITY)
+    return chunk_ranges(total, 1 if jobs == 1 else jobs * STEAL_GRANULARITY)
+
+
+def case_spans(total: int, jobs: int, inline_cases: int) -> List[tuple]:
+    """The span plan of a case sweep (Juliet, fuzz): :func:`steal_spans`
+    on the fabric, spans of at most ``inline_cases`` inline so checkpoints
+    come every few cases.  Spans merge in order, so output never changes.
+    """
+    if jobs <= 1:
+        return chunk_ranges(total, -(-total // inline_cases))
+    return steal_spans(total, jobs)
+
+
+def spec_refs(programs: Sequence, jobs: int) -> Tuple[list, int]:
+    """Payload references for SPEC proxies and the ``jobs`` they may
+    use: names at any ``jobs`` for canonical proxies, the objects
+    themselves inline for a custom list (workers could not rebuild it).
+    """
+    from ..workloads.spec import SPEC_BY_NAME
+
+    if all(SPEC_BY_NAME.get(spec.name) is spec for spec in programs):
+        return [spec.name for spec in programs], jobs
+    return list(programs), 1
+
+
+def _resolve(ref, registry):
+    """The registry item a payload reference names (or the object)."""
+    return registry[ref] if isinstance(ref, (str, int)) else ref
 
 
 # ----------------------------------------------------------------------
 # module-level workers (must be importable for the fabric); each payload
-# ends with the RunConfig the parent resolved
+# names its item by registry name or index, or carries the object itself
+# on the inline path, and ends with the RunConfig the parent resolved
 # ----------------------------------------------------------------------
 def overhead_worker(payload):
     """One Table 2 row: run one SPEC proxy under every tool.
 
     A 4-tuple payload without the config runs under the worker's
     process default (:meth:`RunConfig.from_env`)."""
-    name, tools, scale, cost_model, *config = payload
+    ref, tools, scale, cost_model, *config = payload
     from ..workloads.spec import SPEC_BY_NAME
     from .overhead import measure_program
 
     return measure_program(
-        SPEC_BY_NAME[name], tools, scale=scale, cost_model=cost_model,
-        config=config[0] if config else None,
+        _resolve(ref, SPEC_BY_NAME), tools, scale=scale,
+        cost_model=cost_model, config=config[0] if config else None,
     )
 
 
 def figure10_worker(payload):
     """One Figure 10 bar: GiantSan check breakdown for one proxy."""
-    name, scale, config = payload
+    ref, scale, config = payload
     from ..workloads.spec import SPEC_BY_NAME
     from .figures import measure_check_breakdown
 
-    return measure_check_breakdown(SPEC_BY_NAME[name], scale, config)
+    return measure_check_breakdown(
+        _resolve(ref, SPEC_BY_NAME), scale, config
+    )
 
 
 def figure11_worker(payload):
@@ -246,48 +308,50 @@ def figure11_worker(payload):
 
 def profile_worker(payload):
     """One ``repro profile`` row: telemetry run of one SPEC proxy."""
-    name, tool, scale, config = payload
+    ref, tool, scale, config = payload
     from ..workloads.spec import SPEC_BY_NAME
     from .profile import profile_program
 
-    return profile_program(SPEC_BY_NAME[name], tool, scale, config)
+    return profile_program(_resolve(ref, SPEC_BY_NAME), tool, scale, config)
 
 
 def juliet_worker(payload):
-    """One contiguous slice of the Juliet suite under every tool.
+    """Per-tool detection rows for a contiguous slice of Juliet cases.
 
-    The suite is generated once per worker process (persistent fabric
-    workers keep it across slices and tables) instead of being rebuilt
-    from scratch for every slice, which made each unit pay O(total
-    suite) generation work for an O(slice) run.
+    The slice is a ``(lo, hi)`` span of the canonical suite or a list of
+    cases.  The suite is generated once per worker process (persistent
+    fabric workers keep it across slices and tables) instead of being
+    rebuilt from scratch for every slice, which made each unit pay
+    O(total suite) generation work for an O(slice) run.
     """
-    lo, hi, tools, config = payload
+    cases, tools, config = payload
     from ..workloads.juliet import juliet_suite_cached
     from .detection import detects
 
-    cases = juliet_suite_cached()[lo:hi]
-    outcomes = []
-    for offset, case in enumerate(cases):
-        row = {tool: detects(tool, case.program, config) for tool in tools}
-        outcomes.append((lo + offset, row))
-    return outcomes
+    if isinstance(cases, tuple):
+        lo, hi = cases
+        cases = juliet_suite_cached()[lo:hi]
+    return [
+        {tool: detects(tool, case.program, config) for tool in tools}
+        for case in cases
+    ]
 
 
 def linux_flaw_worker(payload):
     """One Table 4 row: run one CVE scenario under every tool."""
-    scenario_index, tools, config = payload
+    ref, tools, config = payload
     from ..workloads.linux_flaw import TABLE4_SCENARIOS
     from .detection import scenario_row
 
-    scenario = TABLE4_SCENARIOS[scenario_index]
+    scenario = _resolve(ref, TABLE4_SCENARIOS)
     return scenario.cve_id, scenario_row(scenario, tools, config)
 
 
 def magma_worker(payload):
     """One Table 5 row: one Magma project under every configuration."""
-    project_index, config = payload
+    ref, config = payload
     from ..workloads.magma import TABLE5_PROJECTS
     from .detection import project_counts
 
-    project = TABLE5_PROJECTS[project_index]
+    project = _resolve(ref, TABLE5_PROJECTS)
     return project.name, project_counts(project, config), project.total

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from ..config import RunConfig
 from ..sanitizers import SANITIZER_FACTORIES
@@ -91,29 +91,24 @@ def run_profile_study(
     scale: Optional[int] = None,
     jobs: int = 1,
     config: Optional[RunConfig] = None,
+    checkpoint: Optional[Callable] = None,
 ) -> ProfileStudy:
     """Profile the Table 2 kernel sweep (or a subset) under one tool."""
-    from ..workloads.spec import SPEC_BY_NAME
-    from .parallel import parallel_map, profile_worker
+    from .parallel import parallel_map, profile_worker, spec_refs
 
     if tool not in SANITIZER_FACTORIES:
         known = ", ".join(sorted(SANITIZER_FACTORIES))
         raise ValueError(f"unknown tool {tool!r}; known tools: {known}")
     config = RunConfig.from_env() if config is None else config
     programs = programs or SPEC_TABLE2_ROWS
-    if jobs > 1 and all(
-        SPEC_BY_NAME.get(spec.name) is spec for spec in programs
-    ):
-        rows = parallel_map(
-            profile_worker,
-            [(spec.name, tool, scale, config) for spec in programs],
-            jobs,
-            shard_keys=[spec.name for spec in programs],
-        )
-    else:
-        rows = [
-            profile_program(spec, tool, scale, config) for spec in programs
-        ]
+    refs, jobs = spec_refs(programs, jobs)
+    rows = parallel_map(
+        profile_worker,
+        [(ref, tool, scale, config) for ref in refs],
+        jobs,
+        shard_keys=[spec.name for spec in programs],
+        checkpoint=checkpoint,
+    )
     return ProfileStudy(tool=tool, rows=rows)
 
 

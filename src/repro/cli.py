@@ -10,13 +10,14 @@ Usage (installed as ``python -m repro``)::
     python -m repro table5
     python -m repro fig10 --scale 2
     python -m repro fig11
-    python -m repro bench --jobs 4               # timed Table 2 sweep
     python -m repro profile --tool GiantSan      # telemetry counters
     python -m repro serve --port 8321            # REST control plane
     python -m repro demo                         # quickstart bug report
 
-Experiment sweeps accept ``--jobs N`` to fan cells out across worker
-processes; results are identical to ``--jobs 1``.  They also accept
+Experiment sweeps accept ``--jobs N`` (``1..MAX_JOBS``) to fan cells
+out across worker processes; results are identical to ``--jobs 1``.
+The paper sweeps come from :data:`repro.analysis.SWEEPS`, the table the
+REST server's sweep jobs use too.  Sweeps also accept
 ``--engine {tree,compiled}`` to pick the execution engine (identical
 observables).  The run settings are resolved once, as a
 :class:`~repro.config.RunConfig` from the ``REPRO_*`` variables plus
@@ -29,6 +30,10 @@ import argparse
 import signal
 import sys
 from typing import List, Optional
+
+from .analysis import SWEEPS
+from .analysis.parallel import MAX_JOBS
+from .config import ENGINES
 
 
 def _cmd_table1(args) -> str:
@@ -61,63 +66,15 @@ def _cmd_table2(args) -> str:
     return render_table2(study)
 
 
-def _cmd_table3(args) -> str:
-    from .analysis import render_table3, run_juliet_study
-
-    return render_table3(run_juliet_study(jobs=args.jobs, config=args.config))
-
-
-def _cmd_table4(args) -> str:
-    from .analysis import render_table4, run_linux_flaw_study
-
-    return render_table4(
-        run_linux_flaw_study(jobs=args.jobs, config=args.config)
+def _cmd_sweep(args) -> str:
+    """Table 3-5, Figure 10/11: run the target's study and render it."""
+    sweep = SWEEPS[args.command]
+    return sweep.render(
+        sweep.run(
+            jobs=args.jobs, config=args.config,
+            scale=getattr(args, "scale", None),
+        )
     )
-
-
-def _cmd_table5(args) -> str:
-    from .analysis import render_table5, run_magma_study
-
-    return render_table5(run_magma_study(jobs=args.jobs, config=args.config))
-
-
-def _cmd_fig10(args) -> str:
-    from .analysis import render_figure10, run_figure10_study
-
-    return render_figure10(
-        run_figure10_study(scale=args.scale, jobs=args.jobs, config=args.config)
-    )
-
-
-def _cmd_fig11(args) -> str:
-    from .analysis import render_figure11, run_figure11_study
-
-    return render_figure11(
-        run_figure11_study(jobs=args.jobs, config=args.config)
-    )
-
-
-def _cmd_bench(args) -> str:
-    """Time the full Table 2 sweep; the wall-clock benchmark entry point."""
-    import time
-
-    from .analysis import PERFORMANCE_TOOLS, run_overhead_study
-    from .runtime import geometric_mean
-
-    started = time.perf_counter()
-    study = run_overhead_study(
-        tools=list(PERFORMANCE_TOOLS), scale=args.scale, jobs=args.jobs,
-        config=args.config,
-    )
-    elapsed = time.perf_counter() - started
-    lines = [
-        f"table2 sweep: {len(study.rows)} programs x "
-        f"{len(study.tools) + 1} tools, jobs={args.jobs}",
-        f"wall-clock: {elapsed:.2f}s",
-    ]
-    for tool, mean in study.geometric_means().items():
-        lines.append(f"  geomean {tool}: {mean * 100.0:.1f}%")
-    return "\n".join(lines)
 
 
 def _cmd_profile(args) -> str:
@@ -166,9 +123,8 @@ def _cmd_profile(args) -> str:
 
 def _cmd_fuzz(args) -> str:
     """Differential fuzzing sweep: all tools, fastpath on and off."""
-    from .analysis.parallel import parallel_map, steal_spans
-    from .fuzz.driver import FuzzSummary, fuzz_worker, run_case
-    from .fuzz.generator import case_seed_for, generate_case
+    from .fuzz.driver import run_campaign, run_case
+    from .fuzz.generator import generate_case
 
     if args.repro is not None:
         case = generate_case(args.repro, bug_probability=args.bug_probability)
@@ -186,30 +142,15 @@ def _cmd_fuzz(args) -> str:
         print("\n".join(lines))
         raise SystemExit(1)
 
-    # steal-friendly spans: finer than one per worker so a case that
-    # shrinks slowly doesn't serialize the sweep; ascending-span merge
-    # keeps the summary byte-identical to --jobs 1 at any granularity
-    spans = steal_spans(args.iterations, args.jobs)
-    payloads = [
-        (
-            args.seed,
-            start,
-            stop,
-            args.bug_probability,
-            not args.no_shrink,
-            args.audit_elisions,
-            args.config,
-        )
-        for start, stop in spans
-    ]
-    summary = FuzzSummary()
-    for partial in parallel_map(
-        fuzz_worker,
-        payloads,
+    summary = run_campaign(
+        args.seed,
+        args.iterations,
+        bug_probability=args.bug_probability,
+        shrink=not args.no_shrink,
+        audit_elisions=args.audit_elisions,
         jobs=args.jobs,
-        shard_keys=[("fuzz", start) for start, _ in spans],
-    ):
-        summary.merge(partial)
+        config=args.config,
+    )
     audited = " + elision audit" if args.audit_elisions else ""
     lines = [
         f"fuzzed {summary.cases} cases (seed={args.seed}, "
@@ -424,13 +365,10 @@ def _cmd_demo(args) -> str:
 
 _COMMANDS = {
     "table1": (_cmd_table1, "Table 1: op-level vs instruction-level checks"),
-    "table2": (_cmd_table2, "Table 2: SPEC proxy overheads"),
-    "table3": (_cmd_table3, "Table 3: Juliet-style detection"),
-    "table4": (_cmd_table4, "Table 4: Linux Flaw CVE detection"),
-    "table5": (_cmd_table5, "Table 5: Magma redzone study"),
-    "fig10": (_cmd_fig10, "Figure 10: check-type breakdown"),
-    "fig11": (_cmd_fig11, "Figure 11: traversal patterns"),
-    "bench": (_cmd_bench, "Time the Table 2 sweep (wall-clock benchmark)"),
+    **{
+        name: (_cmd_table2 if name == "table2" else _cmd_sweep, sweep.title)
+        for name, sweep in SWEEPS.items()
+    },
     "profile": (_cmd_profile, "Telemetry profile: fast/slow split + phases"),
     "fuzz": (_cmd_fuzz, "Differential fuzz: all tools, fastpath on+off"),
     "analyze": (_cmd_analyze, "Static dataflow analysis: findings + elisions"),
@@ -439,17 +377,26 @@ _COMMANDS = {
 }
 
 #: Subcommands whose runners accept a ``--jobs`` worker count.
-_PARALLEL_COMMANDS = (
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "fig10",
-    "fig11",
-    "bench",
+_PARALLEL_COMMANDS = (*SWEEPS, "profile", "fuzz")
+
+#: Subcommands that take an iteration ``--scale``.
+_SCALED_COMMANDS = (
+    *(name for name, sweep in SWEEPS.items() if sweep.scaled),
     "profile",
-    "fuzz",
 )
+
+
+def _jobs(value: str) -> int:
+    """``--jobs``: a worker count in ``1..MAX_JOBS``."""
+    try:
+        jobs = int(value)
+    except ValueError:
+        jobs = 0
+    if not 1 <= jobs <= MAX_JOBS:
+        raise argparse.ArgumentTypeError(
+            f"expected a worker count from 1 to {MAX_JOBS}, got {value!r}"
+        )
+    return jobs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -462,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers.add_parser("list", help="list available experiments")
     for name, (_, help_text) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
-        if name in ("table2", "fig10", "bench", "profile"):
+        if name in _SCALED_COMMANDS:
             sub.add_argument(
                 "--scale",
                 type=int,
@@ -472,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name in _PARALLEL_COMMANDS:
             sub.add_argument(
                 "--jobs",
-                type=int,
+                type=_jobs,
                 default=1,
                 help="worker processes for the sweep (default 1: inline)",
             )
@@ -498,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name in _PARALLEL_COMMANDS or name in ("demo", "serve"):
             sub.add_argument(
                 "--engine",
-                choices=["tree", "compiled"],
+                choices=ENGINES,
                 default=None,
                 help="execution engine (default: REPRO_ENGINE or "
                 "compiled); "

@@ -18,6 +18,7 @@ from .driver import (
     FuzzSummary,
     fuzz_span,
     fuzz_worker,
+    run_campaign,
     run_case,
 )
 from .expectations import ALL_TOOLS, Expectation, expected_verdict
@@ -41,6 +42,7 @@ __all__ = [
     "fuzz_span",
     "fuzz_worker",
     "generate_case",
+    "run_campaign",
     "run_case",
     "shrink_case",
 ]

@@ -39,7 +39,7 @@ cases to minimal reproducers (see :mod:`repro.fuzz.shrinker`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..config import RunConfig
 from ..runtime.session import Session
@@ -298,8 +298,14 @@ def divergence_signature(report: CaseReport) -> frozenset:
 
 
 # ----------------------------------------------------------------------
-# batch running + the process-pool worker
+# campaigns: case spans, the fabric worker, the ordered merge
 # ----------------------------------------------------------------------
+#: Cases per span on the inline path: small enough that checkpoints
+#: (cancellation, progress) stay responsive, large enough to amortize
+#: bookkeeping.
+INLINE_SPAN_CASES = 8
+
+
 @dataclass
 class FuzzSummary:
     """Aggregated outcome of a fuzzing run."""
@@ -318,6 +324,14 @@ class FuzzSummary:
         self.buggy_cases += other.buggy_cases
         self.invariant_checks += other.invariant_checks
         self.findings.extend(other.findings)
+
+    @classmethod
+    def merged(cls, parts: Sequence["FuzzSummary"]) -> "FuzzSummary":
+        """The summary of ``parts`` merged in order."""
+        summary = cls()
+        for part in parts:
+            summary.merge(part)
+        return summary
 
 
 def fuzz_span(
@@ -373,11 +387,40 @@ def fuzz_worker(payload) -> FuzzSummary:
         payload
     )
     return fuzz_span(
-        seed,
-        start,
-        stop,
-        bug_probability=bug_probability,
-        shrink=shrink,
-        audit_elisions=audit_elisions,
-        config=config,
+        seed, start, stop, bug_probability, shrink,
+        audit_elisions=audit_elisions, config=config,
     )
+
+
+def run_campaign(
+    seed: int,
+    iterations: int,
+    bug_probability: float = 0.55,
+    shrink: bool = True,
+    audit_elisions: bool = False,
+    jobs: int = 1,
+    config: Optional[RunConfig] = None,
+    checkpoint: Optional[Callable[[FuzzSummary], None]] = None,
+) -> FuzzSummary:
+    """Fuzz case indices ``[0, iterations)`` in spans over ``jobs``
+    (:func:`~repro.analysis.parallel.case_spans`, merged in order, so
+    the summary is the same for every ``jobs``).  At every batch
+    boundary ``checkpoint`` gets the summary of the spans done so far.
+    """
+    from ..analysis.parallel import case_spans, parallel_map
+
+    config = RunConfig.from_env() if config is None else config
+    spans = case_spans(iterations, jobs, INLINE_SPAN_CASES)
+    parts = parallel_map(
+        fuzz_worker,
+        [
+            (seed, lo, hi, bug_probability, shrink, audit_elisions, config)
+            for lo, hi in spans
+        ],
+        jobs,
+        shard_keys=[("fuzz", lo) for lo, _ in spans],
+        checkpoint=checkpoint and (
+            lambda done, total: checkpoint(FuzzSummary.merged(done))
+        ),
+    )
+    return FuzzSummary.merged(parts)

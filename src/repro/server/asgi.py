@@ -104,6 +104,12 @@ class Request:
                 [{"loc": ["body"], "msg": "invalid JSON body",
                   "type": "value_error.json"}],
             ) from None
+        except RecursionError:  # nesting deeper than the parser can walk
+            raise HTTPError(
+                422,
+                [{"loc": ["body"], "msg": "JSON body nested too deeply",
+                  "type": "value_error.json"}],
+            ) from None
 
 
 class Response:

@@ -12,6 +12,8 @@ import os
 
 from pydantic import BaseModel, ConfigDict, Field
 
+from ..analysis.parallel import MAX_JOBS
+
 
 class ServerConfig(BaseModel):
     """Process-level settings for ``repro serve``."""
@@ -29,7 +31,7 @@ class ServerConfig(BaseModel):
     #: Upper bound a fuzz-campaign request may ask for.
     fuzz_iteration_cap: int = Field(default=2000, ge=1)
     #: Upper bound on per-job fabric workers (``jobs`` in requests).
-    worker_cap: int = Field(default=8, ge=1)
+    worker_cap: int = Field(default=8, ge=1, le=MAX_JOBS)
     #: Seconds the graceful shutdown waits for running jobs before
     #: cancelling them (the fabric drain happens after either way).
     drain_timeout: float = Field(default=30.0, gt=0)

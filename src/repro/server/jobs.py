@@ -8,7 +8,8 @@ submissions.  Real parallelism inside a job comes from the persistent
 execution fabric (``--jobs`` style), not from the thread pool.
 
 Cancellation is cooperative: every job carries a ``threading.Event``
-and the services poll it between work units (fuzz spans, sweep rows).
+and the services poll it between work units: sweeps and fuzz campaigns
+at every checkpoint of their ``parallel_map``.
 ``DELETE /jobs/{id}`` flips the event; a queued job dies before it
 starts, a running one raises :class:`JobCancelled` at its next
 checkpoint.
@@ -121,6 +122,11 @@ class JobContext:
 
     def progress(self, message: str, **data) -> None:
         self.job.post_event("progress", message=message, **data)
+
+    def checkpoint(self, message: str, **data) -> None:
+        """A sweep checkpoint: honour a cancel, then post progress."""
+        self.check_cancelled()
+        self.progress(message, **data)
 
 
 class JobManager:

@@ -19,10 +19,12 @@ from pydantic import (
     model_validator,
 )
 
+from ..analysis.sweeps import SWEEP_TARGETS
+from ..config import ENGINES
+
 JobKind = Literal["run", "sweep", "fuzz"]
 JobStatusName = Literal["queued", "running", "done", "failed", "cancelled"]
-
-SWEEP_TARGETS = ("table2", "table3", "table4", "table5", "fig10", "fig11")
+EngineName = Literal[ENGINES]  # type: ignore[valid-type]
 
 
 class ExecutionConfig(BaseModel):
@@ -35,7 +37,7 @@ class ExecutionConfig(BaseModel):
     model_config = ConfigDict(extra="forbid")
 
     tool: str = "GiantSan"
-    engine: Optional[Literal["tree", "compiled"]] = None
+    engine: Optional[EngineName] = None
     fastpath: Optional[bool] = None
     interprocedural: Optional[bool] = None
     telemetry: bool = True
@@ -124,7 +126,7 @@ class SweepJobRequest(BaseModel):
     target: Literal[SWEEP_TARGETS]  # type: ignore[valid-type]
     scale: Optional[int] = Field(default=None, ge=1, le=64)
     jobs: int = Field(default=1, ge=1)
-    engine: Optional[Literal["tree", "compiled"]] = None
+    engine: Optional[EngineName] = None
 
 
 class FuzzJobRequest(BaseModel):

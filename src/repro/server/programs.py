@@ -10,7 +10,10 @@ direct ``Session`` run.
 
 Expressions are ints (``Const``), strings (``Var``), or
 ``{"op": <binop>, "left": ..., "right": ...}`` trees over the
-interpreter's operator alphabet.
+interpreter's operator alphabet.  Expression trees and loop/if bodies
+nest at most :data:`MAX_NESTING` deep each: the request echo's
+serializer gives up near 255 JSON levels, and the compiled engine's
+generated Python allows only 20 nested blocks.
 """
 
 from __future__ import annotations
@@ -29,11 +32,24 @@ BINARY_OPS = (
 )
 
 
+#: Deepest expression tree, and deepest loop/if statement nesting,
+#: a document may use (module doc).
+MAX_NESTING = 16
+
+
 class ProgramFormatError(ValueError):
     """Malformed JSON IR; the message names the offending location."""
 
 
-def _expr(node: Any, where: str) -> Expr:
+def _check_depth(depth: int, where: str, what: str) -> None:
+    if depth > MAX_NESTING:
+        raise ProgramFormatError(
+            f"{where}: {what} nest deeper than {MAX_NESTING} levels"
+        )
+
+
+def _expr(node: Any, where: str, depth: int = 1) -> Expr:
+    _check_depth(depth, where, "expressions")
     if isinstance(node, bool):
         raise ProgramFormatError(f"{where}: booleans are not IR values")
     if isinstance(node, int):
@@ -56,8 +72,8 @@ def _expr(node: Any, where: str) -> Expr:
             )
         return BinOp(
             op,
-            _expr(node["left"], f"{where}.left"),
-            _expr(node["right"], f"{where}.right"),
+            _expr(node["left"], f"{where}.left", depth + 1),
+            _expr(node["right"], f"{where}.right", depth + 1),
         )
     raise ProgramFormatError(
         f"{where}: expected int, variable name, or operator node, "
@@ -92,7 +108,10 @@ def _int_field(
     return value
 
 
-def _emit(builder: FunctionBuilder, instr: Any, where: str) -> None:
+def _emit(
+    builder: FunctionBuilder, instr: Any, where: str, depth: int = 1
+) -> None:
+    _check_depth(depth, where, "statements")
     if not isinstance(instr, dict):
         raise ProgramFormatError(f"{where}: instruction must be an object")
     op = instr.get("op")
@@ -193,7 +212,7 @@ def _emit(builder: FunctionBuilder, instr: Any, where: str) -> None:
             reverse=bool(instr.get("reverse", False)),
         ):
             for index, sub in enumerate(body):
-                _emit(builder, sub, f"{where}.body[{index}]")
+                _emit(builder, sub, f"{where}.body[{index}]", depth + 1)
     elif op == "if":
         then = _field(instr, "then", where)
         orelse = instr.get("else", [])
@@ -203,11 +222,11 @@ def _emit(builder: FunctionBuilder, instr: Any, where: str) -> None:
             )
         with builder.if_(_expr(_field(instr, "cond", where), f"{where}.cond")):
             for index, sub in enumerate(then):
-                _emit(builder, sub, f"{where}.then[{index}]")
+                _emit(builder, sub, f"{where}.then[{index}]", depth + 1)
         if orelse:
             with builder.else_():
                 for index, sub in enumerate(orelse):
-                    _emit(builder, sub, f"{where}.else[{index}]")
+                    _emit(builder, sub, f"{where}.else[{index}]", depth + 1)
     else:
         raise ProgramFormatError(f"{where}: unknown op {op!r}")
 

@@ -1,11 +1,11 @@
 """The fuzz-job service: a bounded differential campaign as a job.
 
-The campaign is split into small case spans; spans run through the
-shared fabric (``jobs > 1``) or inline, with a cancellation checkpoint
-and a progress event between batches.  Spans merge in ascending order,
-so a completed campaign's summary is byte-identical to the
-``repro fuzz`` CLI at the same seed/iterations — and a cancelled one
-reports exactly the prefix it finished.  Every span runs under the
+The campaign is :func:`repro.fuzz.driver.run_campaign`, the one the
+``repro fuzz`` CLI runs, with the job's checkpoint: a cancel lands at
+the next batch of case spans, and each batch boundary posts a
+``cases``/``total``/``divergences`` progress event.  Spans merge in
+ascending order, so a completed campaign's summary is byte-identical to
+the CLI at the same seed/iterations.  Every span runs under the
 server's captured run config, carried inside the fabric unit.
 """
 
@@ -18,61 +18,30 @@ from ...config import RunConfig
 from ..jobs import JobContext
 from ..models import FuzzJobRequest
 
-#: Cases per span on the inline path: small enough that cancellation
-#: and progress stay responsive, large enough to amortize bookkeeping.
-INLINE_SPAN_CASES = 8
-
-
-def _spans(iterations: int, jobs: int):
-    from ...analysis.parallel import chunk_ranges, steal_spans
-
-    if jobs <= 1:
-        return chunk_ranges(
-            iterations, max(1, -(-iterations // INLINE_SPAN_CASES))
-        )
-    return steal_spans(iterations, jobs)
-
 
 def execute_fuzz_job(
     context: JobContext,
     request: FuzzJobRequest,
     run_config: RunConfig,
 ) -> Dict[str, Any]:
-    from ...analysis.parallel import parallel_map
-    from ...fuzz.driver import FuzzSummary, fuzz_worker
+    from ...fuzz.driver import run_campaign
 
     started = time.perf_counter()
-    summary = FuzzSummary()
-    spans = _spans(request.iterations, request.jobs)
-    batch_size = max(request.jobs, 1) * 4
-    for start in range(0, len(spans), batch_size):
-        context.check_cancelled()
-        batch = spans[start:start + batch_size]
-        payloads = [
-            (
-                request.seed,
-                lo,
-                hi,
-                request.bug_probability,
-                request.shrink,
-                request.audit_elisions,
-                run_config,
-            )
-            for lo, hi in batch
-        ]
-        for partial in parallel_map(
-            fuzz_worker,
-            payloads,
-            jobs=request.jobs,
-            shard_keys=[("fuzz", lo) for lo, _ in batch],
-        ):
-            summary.merge(partial)
-        context.progress(
+    summary = run_campaign(
+        request.seed,
+        request.iterations,
+        bug_probability=request.bug_probability,
+        shrink=request.shrink,
+        audit_elisions=request.audit_elisions,
+        jobs=request.jobs,
+        config=run_config,
+        checkpoint=lambda partial: context.checkpoint(
             "fuzz progress",
-            cases=summary.cases,
+            cases=partial.cases,
             total=request.iterations,
-            divergences=len(summary.findings),
-        )
+            divergences=len(partial.findings),
+        ),
+    )
     return {
         "seed": request.seed,
         "iterations": request.iterations,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.parallel import MAX_JOBS
 from repro.cli import build_parser, main
 from repro.runtime import CompiledEngine, Interpreter
 
@@ -20,6 +21,24 @@ class TestParser:
         args = build_parser().parse_args(["table2", "--scale", "3", "--ablation"])
         assert args.scale == 3
         assert args.ablation
+
+    @pytest.mark.parametrize(
+        "jobs", ["0", "-3", str(MAX_JOBS + 1), "100000", "two"]
+    )
+    def test_jobs_outside_bounds_rejected_at_parse_time(self, jobs, capsys):
+        for command in ("table3", "fuzz", "profile"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--jobs", jobs])
+            assert "--jobs" in capsys.readouterr().err
+
+    def test_jobs_bounds_accepted(self):
+        for jobs in (1, MAX_JOBS):
+            args = build_parser().parse_args(["table2", "--jobs", str(jobs)])
+            assert args.jobs == jobs
+
+    def test_bench_command_removed(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench"])
 
     def test_demo_tool_flag(self):
         args = build_parser().parse_args(["demo", "--tool", "ASan"])

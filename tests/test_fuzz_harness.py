@@ -20,7 +20,8 @@ from repro.fuzz import (
     run_case,
     shrink_case,
 )
-from repro.fuzz.driver import divergence_signature
+from repro.analysis.parallel import shutdown_pool
+from repro.fuzz.driver import divergence_signature, fuzz_span, run_campaign
 from repro.fuzz.expectations import (
     FREE,
     MUST,
@@ -199,6 +200,28 @@ class TestDriver:
         )
         report = run_case(case)
         assert report.clean, [d.render() for d in report.divergences]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_campaign_matches_the_single_span_summary(self, jobs):
+        """The campaign's span plan and ordered merge give the summary
+        one span over every case gives (what ``repro fuzz --jobs 1``
+        computed before campaigns), and its checkpoint sees the cases
+        finished so far grow to the total."""
+        config = RunConfig.from_env()
+        reference = fuzz_span(11, 0, 20, config=config)
+        seen = []
+        try:
+            summary = run_campaign(
+                11, 20, jobs=jobs, config=config,
+                checkpoint=lambda partial: seen.append(partial.cases),
+            )
+        finally:
+            shutdown_pool()
+        assert summary == reference
+        assert (summary.cases, summary.buggy_cases) == (20, 12)
+        assert summary.invariant_checks == 1056
+        assert seen[0] == 0 and seen[-1] == 20 and seen == sorted(seen)
+        assert len(seen) > 2
 
     def test_divergence_signature_shape(self):
         case = generate_case(case_seed_for(0, 0))

@@ -15,6 +15,7 @@ Three families of guarantees:
     0), never by killing in-flight work.
 """
 
+import dataclasses
 import os
 
 import pytest
@@ -287,6 +288,87 @@ class TestLifecycle:
             figure10_worker, _fig10_units("505.mcf_r", "519.lbm_r"), 2
         )
         assert [r.program for r in results] == ["505.mcf_r", "519.lbm_r"]
+
+
+class TestCheckpoint:
+    """``parallel_map``'s checkpoint runs only at batch boundaries, when
+    no unit is in flight, so a raising checkpoint abandons nothing."""
+
+    NAMES = ["505.mcf_r", "519.lbm_r", "508.namd_r", "505.mcf_r", "519.lbm_r"]
+
+    def test_inline_checkpoint_before_each_payload_and_after_last(self):
+        seen = []
+        results = parallel_map(
+            abs, [-1, -2, -3], 1,
+            checkpoint=lambda done, total: seen.append((list(done), total)),
+        )
+        assert results == [1, 2, 3]
+        assert seen == [([], 3), ([1], 3), ([1, 2], 3), ([1, 2, 3], 3)]
+
+    def test_fabric_checkpoint_every_two_units_per_worker(self):
+        seen = []
+
+        def checkpoint(done, total):
+            fabric = parallel._FABRIC
+            inflight = fabric.stats()["units_inflight"] if fabric else 0
+            seen.append((len(done), total, inflight))
+
+        results = parallel_map(
+            figure10_worker, _fig10_units(*self.NAMES), 2,
+            checkpoint=checkpoint,
+        )
+        assert [r.program for r in results] == self.NAMES
+        assert seen == [(0, 5, 0), (4, 5, 0), (5, 5, 0)]
+
+    def test_raising_checkpoint_abandons_no_fabric_unit(self):
+        class Stop(Exception):
+            pass
+
+        def checkpoint(done, total):
+            if done:
+                raise Stop
+
+        with pytest.raises(Stop):
+            parallel_map(
+                figure10_worker, _fig10_units(*self.NAMES), 2,
+                checkpoint=checkpoint,
+            )
+        report = parallel.drain_pool()
+        assert report is not None and report.clean, report.as_dict()
+
+    def test_custom_lists_run_inline_with_registry_results(self):
+        """Items outside the registries travel as objects, forced to
+        jobs=1: no fabric starts, and the rows match the registry path."""
+        from repro.analysis import run_figure10_study, run_magma_study
+        from repro.workloads.juliet import juliet_suite_cached
+        from repro.workloads.linux_flaw import TABLE4_SCENARIOS
+        from repro.workloads.magma import TABLE5_PROJECTS
+        from repro.workloads.spec import SPEC_BY_NAME
+
+        spec = SPEC_BY_NAME["505.mcf_r"]
+        copy = dataclasses.replace(spec)
+        assert run_figure10_study(programs=[copy], scale=2, jobs=2) == (
+            run_figure10_study(programs=[spec], scale=2, jobs=1)
+        )
+        cases = juliet_suite_cached()[:40]
+        assert run_juliet_study(cases=cases, jobs=2) == run_juliet_study(
+            cases=list(cases)
+        )
+        scenarios = TABLE4_SCENARIOS[:3]
+        assert (
+            run_linux_flaw_study(scenarios=scenarios, jobs=2).outcomes
+            == {
+                cve: row
+                for cve, row in run_linux_flaw_study().outcomes.items()
+                if cve in {s.cve_id for s in scenarios}
+            }
+        )
+        project = TABLE5_PROJECTS[0]
+        custom = run_magma_study(projects=[project], jobs=2)
+        assert custom.detected[project.name] == (
+            run_magma_study().detected[project.name]
+        )
+        assert parallel._FABRIC is None
 
 
 class TestScheduler:

@@ -23,14 +23,21 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import ProgramBuilder, Session
 from repro.config import RunConfig
 from repro.analysis import parallel
+from repro.ir.program import Program
 from repro.reporting import format_all_reports
 from repro.server import ServerConfig, create_app
 from repro.server.config import config_from_env
-from repro.server.programs import build_demo_program, load_program
+from repro.server.jobs import JobContext
+from repro.server.programs import (
+    MAX_NESTING,
+    build_demo_program,
+    load_program,
+)
 from repro.server.testclient import TestClient
 
 
@@ -68,6 +75,32 @@ def _submit_and_wait(client, kind, payload, timeout=120.0):
     assert response.status_code == 202, response.text
     job_id = response.json()["id"]
     return client.wait_for_job(job_id, timeout=timeout)
+
+
+def _wait_for_progress(client, job_id, timeout=60.0):
+    """Block until the running job has posted its first progress event
+    (queued and running are the first two events)."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        detail = client.get(f"/jobs/{job_id}").json()
+        if detail["status"] == "running" and detail["events"] > 2:
+            return
+        assert detail["status"] in ("queued", "running"), detail
+        time.sleep(0.005)
+    raise AssertionError(f"job {job_id} posted no progress event")
+
+
+def _nested_ir(statements: int, expression: int) -> dict:
+    """``statements`` nested one-trip loops around one assignment whose
+    expression is an ``expression``-deep operator tree."""
+    expr = 1
+    for _ in range(expression - 1):
+        expr = {"op": "+", "left": expr, "right": 1}
+    body = [{"op": "assign", "dst": "x", "expr": expr}]
+    for level in range(statements - 1):
+        body = [{"op": "loop", "var": f"i{level}", "start": 0, "end": 1,
+                 "body": body}]
+    return {"functions": [{"name": "main", "body": body}]}
 
 
 DEMO_IR = {
@@ -137,6 +170,37 @@ class TestSubmissionValidation:
         assert response.status_code == 422
         assert client.get("/jobs").json()["jobs"] == []
 
+    @pytest.mark.parametrize(
+        "statements, expression",
+        [(1, 300), (300, 1), (1, MAX_NESTING + 1), (MAX_NESTING + 1, 1)],
+    )
+    def test_too_deeply_nested_inline_ir_is_422(
+        self, client, statements, expression
+    ):
+        response = client.post(
+            "/jobs/run",
+            json={"program": {"ir": _nested_ir(statements, expression)}},
+        )
+        assert response.status_code == 422, response.text
+        assert "nest deeper" in response.json()["detail"][0]["msg"]
+        assert client.get("/jobs").json()["jobs"] == []
+
+    def test_deepest_allowed_inline_ir_runs(self, client):
+        detail = _submit_and_wait(
+            client, "run",
+            {"program": {"ir": _nested_ir(MAX_NESTING, MAX_NESTING)},
+             "config": {"tool": "ASan"}},
+        )
+        assert detail["status"] == "done", detail["error"]
+        assert detail["result"]["errors"] == []
+
+    def test_deeply_nested_json_body_is_422(self, client):
+        response = client.post(
+            "/jobs/fuzz", body=b"[" * 2000 + b"]" * 2000
+        )
+        assert response.status_code == 422, response.text
+        assert response.json()["detail"][0]["loc"] == ["body"]
+
     def test_missing_body_is_422(self, client):
         assert client.post("/jobs/run").status_code == 422
 
@@ -181,6 +245,79 @@ class TestSubmissionValidation:
     def test_unknown_route_is_404_and_wrong_method_is_405(self, client):
         assert client.get("/nope").status_code == 404
         assert client.delete("/jobs").status_code == 405
+
+
+# ----------------------------------------------------------------------
+# the JSON IR loader under arbitrary input
+# ----------------------------------------------------------------------
+_IR_KEYS = [
+    "op", "dst", "size", "ptr", "base", "offset", "width", "value",
+    "length", "byte", "dst_base", "dst_offset", "src_base", "src_offset",
+    "expr", "cycles", "func", "args", "var", "start", "end", "step",
+    "bounded", "reverse", "body", "cond", "then", "else", "left", "right",
+]
+_IR_OPS = [
+    "malloc", "stack_alloc", "global_alloc", "free", "ptr_add", "load",
+    "store", "memset", "memcpy", "strcpy", "assign", "compute", "call",
+    "ret", "loop", "if", "+", "<", "warp",
+]
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(_IR_OPS + _IR_KEYS + ["main", "buf", "i"])
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(_IR_KEYS + ["functions", "entry", "name", "params"])
+        | st.text(max_size=3),
+        inner,
+        max_size=6,
+    ),
+    max_leaves=40,
+)
+_instructions = st.fixed_dictionaries(
+    {"op": st.sampled_from(_IR_OPS)},
+    optional={key: _json_values for key in _IR_KEYS[1:]},
+)
+_program_shaped = st.fixed_dictionaries(
+    {
+        "functions": st.lists(
+            st.fixed_dictionaries(
+                {"name": st.sampled_from(["main", "f", ""]) | _json_values},
+                optional={
+                    "params": st.lists(st.sampled_from(["a", "b"]))
+                    | _json_values,
+                    "body": st.lists(_instructions, max_size=5),
+                },
+            ),
+            max_size=3,
+        )
+    },
+    optional={"entry": st.sampled_from(["main", "f"]) | _json_values},
+)
+
+
+class TestProgramLoader:
+    """``load_program`` answers any JSON value with a Program or a
+    ValueError (a 422 at the door), never another exception."""
+
+    @staticmethod
+    def _load(document):
+        try:
+            program = load_program(document)
+        except ValueError:
+            return
+        assert isinstance(program, Program)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_json_values)
+    def test_arbitrary_json(self, document):
+        self._load(document)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_program_shaped)
+    def test_program_shaped_json(self, document):
+        self._load(document)
 
 
 # ----------------------------------------------------------------------
@@ -452,6 +589,64 @@ class TestLifecycle:
         assert detail["status"] == "cancelled"
         assert detail["result"] is None
 
+    @pytest.fixture
+    def held(self, monkeypatch):
+        """Hold each job at its first progress event until the test sets
+        the returned event, so a cancel deterministically arrives while
+        the sweep still has units to run."""
+        release = threading.Event()
+        original = JobContext.progress
+
+        def progress(context, message, **data):
+            original(context, message, **data)
+            release.wait(timeout=60)
+
+        monkeypatch.setattr(JobContext, "progress", progress)
+        yield release
+        release.set()
+
+    @pytest.mark.parametrize(
+        "target", ["table2", "table3", "table4", "table5", "fig10", "fig11"]
+    )
+    def test_cancel_mid_sweep_lands_at_next_checkpoint(
+        self, client, held, target
+    ):
+        job_id = client.post(
+            "/jobs/sweep", json={"target": target}
+        ).json()["id"]
+        _wait_for_progress(client, job_id)
+        response = client.post(f"/jobs/{job_id}/cancel")
+        assert response.json()["cancel_requested"] is True
+        held.set()
+        detail = client.wait_for_job(job_id)
+        assert detail["status"] == "cancelled"
+        assert detail["result"] is None
+
+    def test_cancelled_fabric_sweep_abandons_no_unit(self, client, held):
+        job_id = client.post(
+            "/jobs/sweep", json={"target": "table3", "jobs": 2}
+        ).json()["id"]
+        _wait_for_progress(client, job_id)
+        client.post(f"/jobs/{job_id}/cancel")
+        held.set()
+        assert client.wait_for_job(job_id)["status"] == "cancelled"
+        assert parallel.fabric_stats()["units_inflight"] == 0
+        report = parallel.drain_pool()
+        assert report is not None and report.clean, report.as_dict()
+
+    def test_sweep_progress_events_count_units(self, client):
+        detail = _submit_and_wait(
+            client, "sweep", {"target": "table4", "jobs": 1}
+        )
+        assert detail["status"] == "done", detail["error"]
+        events = client.get(f"/jobs/{detail['id']}/events").events()
+        progress = [
+            (e["completed"], e["total"])
+            for e in events if e["type"] == "progress"
+        ]
+        total = progress[0][1]
+        assert progress == [(done, total) for done in range(total + 1)]
+
     def test_cancel_queued_job_never_starts(self, client):
         blocker = client.post(
             "/jobs/fuzz", json={"iterations": 600, "seed": 1}
@@ -525,6 +720,15 @@ class TestConfig:
         config = config_from_env(max_concurrency=8)
         assert config.port == 9999
         assert config.max_concurrency == 8  # explicit override wins
+
+    def test_worker_cap_bounded_by_max_jobs(self):
+        import pydantic
+
+        assert ServerConfig(worker_cap=parallel.MAX_JOBS).worker_cap == (
+            parallel.MAX_JOBS
+        )
+        with pytest.raises(pydantic.ValidationError):
+            ServerConfig(worker_cap=parallel.MAX_JOBS + 1)
 
     def test_config_from_env_rejects_garbage(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE_PORT", "lots")
