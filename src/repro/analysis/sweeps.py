@@ -19,6 +19,11 @@ from .figures import run_figure10_study, run_figure11_study
 from .overhead import run_overhead_study
 
 
+#: Largest iteration ``scale`` a scaled sweep or a profile accepts, on
+#: the CLI and over REST.
+MAX_SCALE = 64
+
+
 @dataclass(frozen=True)
 class Sweep:
     title: str

@@ -16,8 +16,10 @@ Usage (installed as ``python -m repro``)::
 
 Experiment sweeps accept ``--jobs N`` (``1..MAX_JOBS``) to fan cells
 out across worker processes; results are identical to ``--jobs 1``.
-The paper sweeps come from :data:`repro.analysis.SWEEPS`, the table the
-REST server's sweep jobs use too.  Sweeps also accept
+``--scale`` takes ``1..MAX_SCALE`` and ``fuzz --iterations`` at least 1;
+values outside are rejected at parse time.  The paper sweeps come from
+:data:`repro.analysis.SWEEPS`, the table the REST server's sweep jobs
+use too.  Sweeps also accept
 ``--engine {tree,compiled}`` to pick the execution engine (identical
 observables).  The run settings are resolved once, as a
 :class:`~repro.config.RunConfig` from the ``REPRO_*`` variables plus
@@ -33,6 +35,7 @@ from typing import List, Optional
 
 from .analysis import SWEEPS
 from .analysis.parallel import MAX_JOBS
+from .analysis.sweeps import MAX_SCALE
 from .config import ENGINES
 
 
@@ -386,17 +389,31 @@ _SCALED_COMMANDS = (
 )
 
 
-def _jobs(value: str) -> int:
-    """``--jobs``: a worker count in ``1..MAX_JOBS``."""
-    try:
-        jobs = int(value)
-    except ValueError:
-        jobs = 0
-    if not 1 <= jobs <= MAX_JOBS:
-        raise argparse.ArgumentTypeError(
-            f"expected a worker count from 1 to {MAX_JOBS}, got {value!r}"
-        )
-    return jobs
+def _bounded_int(what: str, high: Optional[int] = None):
+    """An ``argparse`` type: an int in ``1..high`` (no upper bound when
+    ``high`` is None), rejected at parse time otherwise."""
+    bounds = f"from 1 to {high}" if high is not None else "of at least 1"
+
+    def parse(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            number = 0
+        if number < 1 or (high is not None and number > high):
+            raise argparse.ArgumentTypeError(
+                f"expected {what} {bounds}, got {value!r}"
+            )
+        return number
+
+    return parse
+
+
+#: ``--jobs``: a worker count in ``1..MAX_JOBS``.
+_jobs = _bounded_int("a worker count", MAX_JOBS)
+#: ``--scale``: an iteration scale in ``1..MAX_SCALE``.
+_scale = _bounded_int("an iteration scale", MAX_SCALE)
+#: ``fuzz --iterations``: a case count of at least 1.
+_iterations = _bounded_int("a case count")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,9 +429,10 @@ def build_parser() -> argparse.ArgumentParser:
         if name in _SCALED_COMMANDS:
             sub.add_argument(
                 "--scale",
-                type=int,
+                type=_scale,
                 default=None,
-                help="iteration-scale override (default: per-program)",
+                help=f"iteration-scale override, 1..{MAX_SCALE} "
+                "(default: per-program)",
             )
         if name in _PARALLEL_COMMANDS:
             sub.add_argument(
@@ -489,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "fuzz":
             sub.add_argument(
                 "--iterations",
-                type=int,
+                type=_iterations,
                 default=200,
                 help="number of generated cases (default 200)",
             )

@@ -42,6 +42,7 @@ as before.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -310,8 +311,70 @@ def compute_summaries(
                 name, function.params, recursive=name in graph.recursive
             )
         else:
-            summaries[name] = _summarize(function, summaries)
+            summaries[name] = _summarize_memoized(function, summaries)
     return summaries
+
+
+#: Memoized :func:`_summarize` results.  A summary depends only on the
+#: function's name, params and body, and on the summaries of the callees
+#: it names, so that tuple keys it.  The instrumentation pipeline asks
+#: for the same bodies repeatedly (three passes per program for each
+#: eliminating tool, and the same helper bodies across programs).
+#: Cleared with the instrumentation memo
+#: (:func:`repro.passes.instrument.clear_instrumentation_cache`); reset
+#: wholesale when :data:`SUMMARY_MEMO_LIMIT` entries accumulate.
+_SUMMARY_MEMO: Dict[tuple, FunctionSummary] = {}
+SUMMARY_MEMO_LIMIT = 4096
+_SUMMARY_HITS = 0
+_SUMMARY_MISSES = 0
+#: Server jobs instrument on several threads; guards memo and counters.
+_SUMMARY_LOCK = threading.Lock()
+
+
+def _summarize_memoized(
+    function: Function, summaries: Dict[str, FunctionSummary]
+) -> FunctionSummary:
+    global _SUMMARY_HITS, _SUMMARY_MISSES
+    callees = sorted(
+        {instr.func for instr in walk(function.body) if isinstance(instr, Call)}
+    )
+    key = (
+        function.name,
+        tuple(function.params),
+        repr(function.body),
+        tuple(summaries.get(callee) for callee in callees),
+    )
+    with _SUMMARY_LOCK:
+        summary = _SUMMARY_MEMO.get(key)
+        if summary is not None:
+            _SUMMARY_HITS += 1
+            return summary
+        _SUMMARY_MISSES += 1
+    summary = _summarize(function, summaries)
+    with _SUMMARY_LOCK:
+        if len(_SUMMARY_MEMO) >= SUMMARY_MEMO_LIMIT:
+            _SUMMARY_MEMO.clear()
+        _SUMMARY_MEMO[key] = summary
+    return summary
+
+
+def summary_memo_stats() -> Dict[str, int]:
+    """Memo traffic for this process: ``{hits, misses, entries}``."""
+    with _SUMMARY_LOCK:
+        return {
+            "hits": _SUMMARY_HITS,
+            "misses": _SUMMARY_MISSES,
+            "entries": len(_SUMMARY_MEMO),
+        }
+
+
+def clear_summary_memo() -> None:
+    """Drop every memoized summary and reset the counters."""
+    global _SUMMARY_HITS, _SUMMARY_MISSES
+    with _SUMMARY_LOCK:
+        _SUMMARY_MEMO.clear()
+        _SUMMARY_HITS = 0
+        _SUMMARY_MISSES = 0
 
 
 def _summarize(

@@ -7,8 +7,7 @@ all need that) and validate structural invariants before execution.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .nodes import (
@@ -53,8 +52,19 @@ class Program:
             raise KeyError(f"no function named {name!r}") from None
 
     def clone(self) -> "Program":
-        """Deep copy, so instrumentation never mutates the source program."""
-        return copy.deepcopy(self)
+        """Structural copy, so instrumentation never mutates the source
+        program: functions, instructions and their lists are new; the
+        frozen expressions are shared.  Only dataclass fields are copied,
+        so run-time memos attached to nodes (fastpath loop plans, code
+        tables) stay with the original."""
+        clone = Program(entry=self.entry)
+        for name, function in self.functions.items():
+            clone.functions[name] = Function(
+                name=function.name,
+                params=list(function.params),
+                body=[_clone_instr(instr) for instr in function.body],
+            )
+        return clone
 
     def validate(self) -> None:
         """Check structural invariants; raises ValueError on the first
@@ -70,6 +80,34 @@ class Program:
                 width = getattr(instr, "width", None)
                 if width is not None and width not in (1, 2, 4, 8):
                     raise ValueError(f"unsupported access width {width}")
+
+
+#: Dataclass field names per instruction class, for :func:`_clone_instr`.
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+
+
+def _clone_instr(instr: Instr) -> Instr:
+    """Copy of ``instr`` with nested instructions and lists copied too;
+    field values that are neither (expressions, names, enums) are shared."""
+    cls = type(instr)
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
+    state = instr.__dict__
+    copied = {}
+    for name in names:
+        value = state[name]
+        if isinstance(value, list):
+            value = [
+                _clone_instr(item) if isinstance(item, Instr) else item
+                for item in value
+            ]
+        elif isinstance(value, Instr):
+            value = _clone_instr(value)
+        copied[name] = value
+    clone = object.__new__(cls)
+    clone.__dict__ = copied
+    return clone
 
 
 def child_blocks(instr: Instr) -> List[List[Instr]]:

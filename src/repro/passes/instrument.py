@@ -24,7 +24,7 @@ from typing import List, Optional
 
 from ..ir.nodes import CheckAccess, CheckCached, CheckRegion
 from ..ir.program import Program, assign_site_ids, walk
-from ..sanitizers.base import Capabilities, Sanitizer
+from ..sanitizers.base import Capabilities, Sanitizer, shadow_template_stats
 from .base import Pass, PassManager, PassStats
 from .check_merging import AliasedCheckElimination, ConstantOffsetMerging
 from .check_placement import CheckPlacement
@@ -205,20 +205,36 @@ def instrument_cached(
 
 
 def instrumentation_cache_stats() -> dict:
-    """Memo traffic for this process: ``{hits, misses, entries}``."""
+    """Per-run fixed-cost caches of this process.
+
+    ``hits``/``misses``/``entries`` count the instrumentation memo; each
+    of ``code`` (compiled code objects), ``summaries`` (function
+    summaries) and ``shadow_templates`` (pre-poisoned shadow planes)
+    holds the same three counts for its own cache.
+    """
+    from ..dataflow.summaries import summary_memo_stats
+    from ..runtime.codecache import code_cache_stats
+
     return {
         "hits": _MEMO_HITS,
         "misses": _MEMO_MISSES,
         "entries": len(_MEMO),
+        "code": code_cache_stats(),
+        "summaries": summary_memo_stats(),
+        "shadow_templates": shadow_template_stats(),
     }
 
 
 def clear_instrumentation_cache() -> None:
-    """Drop all memoized instrumentation results (mainly for tests)."""
+    """Drop all memoized instrumentation results and function summaries
+    (tests, and sweeps that must start cold)."""
     global _MEMO_HITS, _MEMO_MISSES
+    from ..dataflow.summaries import clear_summary_memo
+
     _MEMO.clear()
     _MEMO_HITS = 0
     _MEMO_MISSES = 0
+    clear_summary_memo()
 
 
 def instrument(

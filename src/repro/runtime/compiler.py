@@ -82,6 +82,7 @@ from ..ir.nodes import (
 from ..ir.program import Function, Program, walk
 from ..memory.address_space import CODEC_BY_WIDTH, _MASK_BY_WIDTH
 from . import fastpath as _fastpath
+from .codecache import compile_cached
 from .cost_model import NativeCosts
 from .interpreter import (
     BudgetExceeded,
@@ -632,7 +633,7 @@ class _Emitter:
         namespace = dict(_SHARED_NS)
         namespace.update(self.ns)
         exec(  # noqa: S102 - same trusted codegen pattern as fastpath
-            compile(source, f"<compiled:{function.name}>", "exec"), namespace
+            compile_cached(source, f"<compiled:{function.name}>"), namespace
         )
         return CompiledFunction(
             name=function.name,

@@ -17,6 +17,8 @@ Concrete tools: :mod:`repro.sanitizers.native`, ``asan``, ``asanmm``,
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
@@ -131,6 +133,29 @@ class Capabilities:
     temporal: bool = True
 
 
+#: Pre-poisoned shadow planes, keyed by (``_poison_null_page``
+#: implementation, :class:`ArenaLayout`).  Real sanitizers map and
+#: poison their shadow once per process; a session here copies the
+#: template (one ``memcpy``) instead of re-running arena-wide fills.
+#: LRU-bounded: one entry per (tool family, layout) in use.
+_SHADOW_TEMPLATES: "OrderedDict[tuple, bytes]" = OrderedDict()
+SHADOW_TEMPLATE_LIMIT = 8
+_TEMPLATE_HITS = 0
+_TEMPLATE_MISSES = 0
+#: Server jobs construct sessions on several threads.
+_TEMPLATE_LOCK = threading.Lock()
+
+
+def shadow_template_stats() -> Dict[str, int]:
+    """Template traffic for this process: ``{hits, misses, entries}``."""
+    with _TEMPLATE_LOCK:
+        return {
+            "hits": _TEMPLATE_HITS,
+            "misses": _TEMPLATE_MISSES,
+            "entries": len(_SHADOW_TEMPLATES),
+        }
+
+
 class Sanitizer:
     """Base class: owns simulated process state and default hooks.
 
@@ -153,7 +178,6 @@ class Sanitizer:
     ):
         self.layout = layout or ArenaLayout()
         self.space = AddressSpace(self.layout)
-        self.shadow = ShadowMemory(self.layout.total_size)
         # bounds used on every single check: cached as plain attributes
         # so hot paths skip the layout attribute chain
         self._total_size = self.layout.total_size
@@ -173,7 +197,38 @@ class Sanitizer:
         #: Check-path call sites gate on ``is not None`` so a disabled
         #: run pays one attribute test at most.
         self.telemetry = None
+        self.shadow = self._fresh_shadow()
+
+    def _fresh_shadow(self) -> ShadowMemory:
+        """The shadow plane as ``_poison_null_page`` leaves it, copied
+        from a per-process template (see :data:`SHADOW_TEMPLATE_LIMIT`).
+
+        Pre-poisoning reads only the hook's code and ``self.layout``, so
+        the pair keys the template; a tool whose hook is the base no-op
+        gets a zeroed plane directly.
+        """
+        global _TEMPLATE_HITS, _TEMPLATE_MISSES
+        hook = type(self)._poison_null_page
+        if hook is Sanitizer._poison_null_page:
+            return ShadowMemory(self._total_size)
+        key = (hook, self.layout)
+        with _TEMPLATE_LOCK:
+            template = _SHADOW_TEMPLATES.get(key)
+            if template is not None:
+                _TEMPLATE_HITS += 1
+                _SHADOW_TEMPLATES.move_to_end(key)
+            else:
+                _TEMPLATE_MISSES += 1
+        if template is not None:
+            return ShadowMemory.from_codes(template)
+        self.shadow = ShadowMemory(self._total_size)
         self._poison_null_page()
+        template = self.shadow.region(0, len(self.shadow))
+        with _TEMPLATE_LOCK:
+            _SHADOW_TEMPLATES[key] = template
+            while len(_SHADOW_TEMPLATES) > SHADOW_TEMPLATE_LIMIT:
+                _SHADOW_TEMPLATES.popitem(last=False)
+        return self.shadow
 
     # ------------------------------------------------------------------
     # shadow maintenance hooks (overridden per encoding)

@@ -19,7 +19,7 @@ from pydantic import (
     model_validator,
 )
 
-from ..analysis.sweeps import SWEEP_TARGETS
+from ..analysis.sweeps import MAX_SCALE, SWEEP_TARGETS
 from ..config import ENGINES
 
 JobKind = Literal["run", "sweep", "fuzz"]
@@ -124,7 +124,7 @@ class SweepJobRequest(BaseModel):
     model_config = ConfigDict(extra="forbid")
 
     target: Literal[SWEEP_TARGETS]  # type: ignore[valid-type]
-    scale: Optional[int] = Field(default=None, ge=1, le=64)
+    scale: Optional[int] = Field(default=None, ge=1, le=MAX_SCALE)
     jobs: int = Field(default=1, ge=1)
     engine: Optional[EngineName] = None
 

@@ -33,6 +33,13 @@ class ShadowMemory:
             raise ValueError("memory size must be a multiple of the segment size")
         self._shadow = bytearray(memory_size >> SEGMENT_SHIFT)
 
+    @classmethod
+    def from_codes(cls, codes: bytes) -> "ShadowMemory":
+        """A plane holding a private copy of ``codes``."""
+        shadow = cls.__new__(cls)
+        shadow._shadow = bytearray(codes)
+        return shadow
+
     def __len__(self) -> int:
         return len(self._shadow)
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.parallel import MAX_JOBS
+from repro.analysis.sweeps import MAX_SCALE
 from repro.cli import build_parser, main
 from repro.runtime import CompiledEngine, Interpreter
 
@@ -35,6 +36,33 @@ class TestParser:
         for jobs in (1, MAX_JOBS):
             args = build_parser().parse_args(["table2", "--jobs", str(jobs)])
             assert args.jobs == jobs
+
+    @pytest.mark.parametrize("scale", ["0", "-2", str(MAX_SCALE + 1), "x"])
+    def test_scale_outside_bounds_rejected_at_parse_time(self, scale, capsys):
+        for command in ("table2", "fig10", "profile"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--scale", scale])
+            assert "--scale" in capsys.readouterr().err
+
+    def test_scale_bounds_accepted(self):
+        for scale in (1, MAX_SCALE):
+            args = build_parser().parse_args(["profile", "--scale", str(scale)])
+            assert args.scale == scale
+
+    @pytest.mark.parametrize("iterations", ["0", "-2", "-5", "many"])
+    def test_fuzz_iterations_below_one_rejected_at_parse_time(
+        self, iterations, capsys
+    ):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fuzz", "--iterations", iterations])
+        assert "--iterations" in capsys.readouterr().err
+
+    def test_fuzz_iterations_accepted(self):
+        for iterations in (1, MAX_SCALE + 1):
+            args = build_parser().parse_args(
+                ["fuzz", "--iterations", str(iterations)]
+            )
+            assert args.iterations == iterations
 
     def test_bench_command_removed(self):
         with pytest.raises(SystemExit):

@@ -192,6 +192,18 @@ class TestWarmCaches:
         assert warm_hits > cold_hits
         assert warm_misses == cold_misses
 
+    def test_worker_stats_report_every_fixed_cost_cache(self):
+        run_overhead_study(
+            programs=self._distinct_home_programs(), scale=2, jobs=2
+        )
+        for worker in fabric_stats()["worker_stats"]:
+            caches = worker["instrumentation_cache"]
+            for name in ("code", "summaries", "shadow_templates"):
+                assert set(caches[name]) == {"hits", "misses", "entries"}
+            # every worker ran ASan-family sessions and compiled code
+            assert caches["shadow_templates"]["entries"] >= 1
+            assert caches["code"]["entries"] >= 1
+
     def test_same_fabric_survives_consecutive_tables(self):
         run_overhead_study(scale=2, jobs=2)
         first = parallel._FABRIC

@@ -28,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 from repro import ProgramBuilder, Session
 from repro.config import RunConfig
 from repro.analysis import parallel
+from repro.analysis.sweeps import MAX_SCALE
 from repro.ir.program import Program
 from repro.reporting import format_all_reports
 from repro.server import ServerConfig, create_app
@@ -220,6 +221,14 @@ class TestSubmissionValidation:
             "/jobs/sweep", json={"target": "fig11", "jobs": cap + 1}
         )
         assert response.status_code == 422
+
+    @pytest.mark.parametrize("scale", [0, -2, MAX_SCALE + 1])
+    def test_sweep_scale_outside_cli_bounds_is_422(self, client, scale):
+        response = client.post(
+            "/jobs/sweep", json={"target": "table2", "scale": scale}
+        )
+        assert response.status_code == 422
+        assert client.get("/jobs").json()["jobs"] == []
 
     def test_shadow_field_is_422(self, client):
         # there is one shadow plane; requests still naming one are stale
